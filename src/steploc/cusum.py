@@ -11,6 +11,12 @@ contrast vector.  :func:`cusum` evaluates a single split directly from
 slice sums and serves as the reference; :func:`cusum_scan` computes every
 admissible split in O(e - s) from compensated prefix sums and must agree
 with the reference to 1e-10 up to n = 1e6.
+
+Both :func:`cusum_scan` and the binary-segmentation recursion use one
+kernel, :func:`scan_windows`, which scores any number of windows
+``(lo[i], hi[i]]`` in a single ragged numpy pass.  Its output is flat:
+window 0's ``hi[0] - lo[0] - 1`` values in ascending split order, then
+window 1's, and so on, alongside the split position of every value.
 """
 
 from __future__ import annotations
@@ -97,15 +103,39 @@ def cusum(y: np.ndarray, s: int, e: int, t: int) -> float:
     return w_left * left - w_right * right
 
 
-def _scan_values(prefix: np.ndarray, s: int, e: int) -> np.ndarray:
-    """Scan values for all splits of (s, e] given prefix sums of y."""
-    t = np.arange(s + 1, e)
-    left = prefix[t] - prefix[s]
-    right = prefix[e] - prefix[t]
-    gap_l = (t - s).astype(np.float64)
-    gap_r = (e - t).astype(np.float64)
-    span = float(e - s)
-    return np.sqrt(gap_r / (span * gap_l)) * left - np.sqrt(gap_l / (span * gap_r)) * right
+def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scan values for every split of every window (lo[i], hi[i]], given
+    prefix sums of y; each window needs hi[i] - lo[i] >= 2.
+
+    Returns ``(values, splits)``, laid out window after window in the
+    order of ``lo``/``hi`` and, inside a window, in ascending split order,
+    so window ``i`` owns ``hi[i] - lo[i] - 1`` consecutive entries.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    counts = hi - lo - 1
+    starts = np.cumsum(counts) - counts
+    t = np.repeat(lo + 1 - starts, counts)
+    t += np.arange(t.size)
+    right = prefix[t]
+    left = right - np.repeat(prefix[lo], counts)
+    np.subtract(np.repeat(prefix[hi], counts), right, out=right)
+    gap_l = (t - np.repeat(lo, counts)).astype(np.float64)
+    span = np.repeat((hi - lo).astype(np.float64), counts)
+    # sqrt(gap_r / (span gap_l)) left - sqrt(gap_l / (span gap_r)) right,
+    # operation for operation, in place so that a window of length n costs
+    # a few length-n buffers; every integer here is exact in float64.
+    gap_r = span - gap_l
+    w = span * gap_l
+    np.divide(gap_r, w, out=w)
+    np.sqrt(w, out=w)
+    left *= w
+    np.multiply(span, gap_r, out=w)
+    np.divide(gap_l, w, out=w)
+    np.sqrt(w, out=w)
+    right *= w
+    left -= right
+    return left, t
 
 
 def scan_prefix(y: np.ndarray) -> np.ndarray:
@@ -126,7 +156,8 @@ def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
     _check_window(y.size, s, e)
     if e - s < 2:
         raise ValueError(f"window ({s}, {e}] is too short to scan")
-    return CusumScan(s=s, e=e, values=_scan_values(scan_prefix(y), s, e))
+    values, _ = scan_windows(scan_prefix(y), np.array([s]), np.array([e]))
+    return CusumScan(s=s, e=e, values=values)
 
 
 def argmax_abs(scan: CusumScan) -> tuple[int, float]:

@@ -2,17 +2,29 @@
 
 Each working window (s, e] is intersected with every candidate interval;
 the best split of each clipped interval is scored by the absolute scan
-statistic, intervals clipped to length <= 1 score -1.  If the winning
-score exceeds the threshold ``tau`` the winning split ``b`` is recorded
-and the procedure recurses on the children (s, b] and (b, e], which
-partition the working window: the child (b, e] starts at position
-``b + 1``, so a change point right after ``b`` stays reachable.
-Plain binary segmentation is the special case of a single candidate
-interval (0, n) reused at every level.
+statistic, and intervals clipped to length <= 1 are dropped.  If the
+winning score exceeds the threshold ``tau`` the winning split ``b`` is
+recorded and the procedure continues on the children (s, b] and (b, e],
+which partition the working window: the child (b, e] starts at position
+``b + 1``, so a change point right after ``b`` stays reachable.  Plain
+binary segmentation is the special case of a single candidate interval
+(0, n) reused at every level.
+
+The windows still to search are kept on an explicit stack.  At each of
+them the clipped intervals are scored together by the ragged kernel
+:func:`steploc.cusum.scan_windows`, in passes of at most ``PASS_POINTS``
+splits (a pass always takes at least one interval, so a single long
+interval is one pass), which bounds the temporaries of a node with many
+long intervals.
 
 Ties are always broken toward the smallest index (both the split inside a
 scan and the winning interval), so results are deterministic even when the
-noise distribution produces tied sample means.
+noise distribution produces tied sample means.  The kernel lays the
+values out interval after interval, each in ascending split order, so the
+first maximum of ``|values|`` over that layout lies in the first interval
+reaching the maximum, at its first maximising split; passes are taken in
+order and a later pass replaces the winner only with a strictly greater
+score.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steploc.cusum import _scan_values, scan_prefix
+from steploc.cusum import scan_prefix, scan_windows
 from steploc.noise import generator
 
 __all__ = [
@@ -35,6 +47,10 @@ __all__ = [
     "default_tau",
     "min_intervals",
 ]
+
+# Split positions scored per numpy pass at one recursion node: bounds the
+# temporaries of a node with many long clipped intervals.
+PASS_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -95,45 +111,50 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
         raise ValueError(f"max_len must be at least 2, got {max_len!r}")
     cap = n if max_len is None else max_len
     rng = generator(seed)
-    out: list[tuple[int, int]] = []
-    while len(out) < m:
-        chunk = max(64, 2 * (m - len(out)))
+    blocks: list[np.ndarray] = []
+    got = 0
+    while got < m:
+        chunk = max(64, 2 * (m - got))
         pairs = rng.integers(0, n + 1, size=(chunk, 2))
         gaps = pairs[:, 1] - pairs[:, 0]
-        for a, b in pairs[(gaps >= 2) & (gaps <= cap)]:
-            out.append((int(a), int(b)))
-            if len(out) == m:
-                break
-    return IntervalSet(n=n, intervals=tuple(out), seed=seed, max_len=max_len)
+        kept = pairs[(gaps >= 2) & (gaps <= cap)][: m - got]
+        blocks.append(kept)
+        got += len(kept)
+    pairs = np.concatenate(blocks)
+    intervals = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    return IntervalSet(n=n, intervals=intervals, seed=seed, max_len=max_len)
 
 
 def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, method: str) -> DetectionResult:
-    n = y.size
     prefix = scan_prefix(y)
     alphas = np.array([a for a, _ in intervals], dtype=np.int64)
     betas = np.array([b for _, b in intervals], dtype=np.int64)
     found: list[Detection] = []
-
-    def recurse(s: int, e: int) -> None:
-        if e - s < 2:
-            return
+    stack = [(0, y.size)]
+    while stack:
+        s, e = stack.pop()
         lo = np.maximum(alphas, s)
         hi = np.minimum(betas, e)
-        scores = np.full(len(intervals), -1.0)
-        splits = np.zeros(len(intervals), dtype=np.int64)
-        for m in np.nonzero(hi - lo > 1)[0]:
-            vals = _scan_values(prefix, int(lo[m]), int(hi[m]))
-            k = int(np.argmax(np.abs(vals)))
-            splits[m] = lo[m] + 1 + k
-            scores[m] = abs(vals[k])
-        m_star = int(np.argmax(scores))
-        if scores[m_star] > tau:
-            b = int(splits[m_star])
-            found.append(Detection(s=int(lo[m_star]), e=int(hi[m_star]), b=b, a=float(scores[m_star])))
-            recurse(s, b)
-            recurse(b, e)
-
-    recurse(0, n)
+        live = hi - lo > 1
+        lo, hi = lo[live], hi[live]
+        ends = np.cumsum(hi - lo - 1)
+        best = None
+        first = done = 0
+        while first < lo.size:
+            # Windows first..last-1 hold at most PASS_POINTS splits, or are one window.
+            last = max(first + 1, int(np.searchsorted(ends, done + PASS_POINTS, side="right")))
+            values, splits = scan_windows(prefix, lo[first:last], hi[first:last])
+            k = int(np.argmax(np.abs(values)))
+            score = abs(float(values[k]))
+            # Only a strictly greater score from a later pass wins.
+            if best is None or score > best.a:
+                m = int(np.searchsorted(ends, done + k, side="right"))
+                best = Detection(s=int(lo[m]), e=int(hi[m]), b=int(splits[k]), a=score)
+            first, done = last, int(ends[last - 1])
+        if best is not None and best.a > tau:
+            found.append(best)
+            stack.append((best.b, e))
+            stack.append((s, best.b))
     found.sort(key=lambda d: d.b)
     return DetectionResult(
         change_points=tuple(d.b for d in found),

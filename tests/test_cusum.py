@@ -14,6 +14,8 @@ from steploc.cusum import (
     cusum_scan,
     prefix_sums,
     project,
+    scan_prefix,
+    scan_windows,
     single_cp_cusum,
 )
 from steploc.signal import evaluate, make_signal
@@ -108,6 +110,20 @@ def test_scan_matches_pointwise(seed):
     for t in range(s + 1, e):
         assert scan.values[t - s - 1] == pytest.approx(cusum(y, s, e, t), abs=1e-10)
         assert cusum(y, s, e, t) == pytest.approx(cusum_direct(y, s, e, t), abs=1e-10)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_scan_windows_concatenates_single_window_scans(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    y = rng.normal(size=n)
+    lo = rng.integers(0, n - 1, size=int(rng.integers(1, 6)))
+    hi = np.array([int(rng.integers(s + 2, n + 1)) for s in lo])
+    values, splits = scan_windows(scan_prefix(y), lo, hi)
+    expected = np.concatenate([cusum_scan(y, int(s), int(e)).values for s, e in zip(lo, hi)])
+    assert values.tobytes() == expected.tobytes()
+    assert splits.tolist() == [t for s, e in zip(lo, hi) for t in range(s + 1, e)]
 
 
 @given(st.integers(0, 10_000))

@@ -1,13 +1,19 @@
+import gc
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import admissible_interval_mean_length
-from steploc.cusum import cusum_scan
+from steploc.cusum import argmax_abs, cusum_scan
 from steploc.noise import NoiseSpec, sample
 from steploc.signal import evaluate, make_signal, min_spacing, spike_signal
 from steploc.wbs import (
+    PASS_POINTS,
+    Detection,
     DetectionResult,
     IntervalSet,
     bs_detect,
@@ -27,6 +33,19 @@ def test_sampling_deterministic():
     a = sample_intervals(100, 50, 7, max_len=20)
     b = sample_intervals(100, 50, 7, max_len=20)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "args, max_len, digest",
+    [
+        ((1024, 2048, 7), 16, "09af4bd1ce53c913df5857e3290f31a5f96ceb66a6a3de8b30c7cd3784c134c4"),
+        ((2000, 355, 43), 1000, "970f8c51d0de83f3c3d4bbb5ddfa9691e7eff39cf013e2a010663856f898d9df"),
+    ],
+)
+def test_sampling_stream_is_pinned(args, max_len, digest):
+    # The acceptance configs and the benchmark digests depend on this exact stream.
+    intervals = sample_intervals(*args, max_len=max_len).intervals
+    assert hashlib.sha256(repr(intervals).encode()).hexdigest() == digest
 
 
 def test_sampling_respects_constraints():
@@ -204,3 +223,83 @@ def test_min_intervals():
 def test_detection_result_rejects_unsorted():
     with pytest.raises(ValueError):
         DetectionResult(change_points=(5, 3), method="wbs", tau=1.0, per_cp_diagnostics=())
+
+
+def _reference_detect(y, intervals, tau, method):
+    """The recursion scored one clipped interval at a time: the first best
+    split inside each interval, then the first best interval."""
+    found = []
+
+    def recurse(s, e):
+        best = None
+        for a, b in intervals:
+            lo, hi = max(a, s), min(b, e)
+            if hi - lo > 1:
+                split, score = argmax_abs(cusum_scan(y, lo, hi))
+                if best is None or score > best.a:
+                    best = Detection(s=lo, e=hi, b=split, a=score)
+        if best is not None and best.a > tau:
+            found.append(best)
+            recurse(s, best.b)
+            recurse(best.b, e)
+
+    recurse(0, len(y))
+    found.sort(key=lambda d: d.b)
+    return DetectionResult(tuple(d.b for d in found), method, float(tau), tuple(found))
+
+
+@st.composite
+def tied_series(draw, min_n=2, max_n=60):
+    """Small-integer or half-integer series, where scan values tie often."""
+    n = draw(st.integers(min_n, max_n))
+    scale = draw(st.sampled_from([1.0, 0.5]))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return np.array(ints, dtype=np.float64) * scale
+
+
+@given(tied_series(), st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_detect_matches_per_interval_reference_on_tied_data(y, m, seed, tau):
+    n = y.size
+    ivals = sample_intervals(n, m, seed)
+    assert wbs_detect(y, ivals, tau) == _reference_detect(y, ivals.intervals, tau, "wbs")
+    assert bs_detect(y, tau) == _reference_detect(y, ((0, n),), tau, "bs")
+
+
+@given(tied_series(min_n=380, max_n=420), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0]))
+@settings(max_examples=8, deadline=None)
+def test_detect_matches_reference_across_several_passes(y, seed, tau):
+    # ~100 intervals of length ~n/2 give a root node of ~20k split points,
+    # several scoring passes.
+    n = y.size
+    ivals = sample_intervals(n, 100, seed, max_len=n)
+    assert sum(b - a - 1 for a, b in ivals.intervals) > 2 * PASS_POINTS
+    assert wbs_detect(y, ivals, tau) == _reference_detect(y, ivals.intervals, tau, "wbs")
+
+
+def test_tie_across_passes_goes_to_the_first_interval():
+    # On a square wave of period 20 the mirrored windows (0, 15] and (5, 20]
+    # both peak at split 10 with exactly the same score, and 25 full-width
+    # windows between them (lower peak) push (5, 20] into a later pass.
+    y = np.tile(np.r_[np.zeros(10), np.ones(10)], 20)
+    ivals = IntervalSet(400, ((0, 15),) + ((0, 200),) * 25 + ((5, 20),))
+    res = wbs_detect(y, ivals, 1.0)
+    d = res.per_cp_diagnostics[0]
+    assert (d.s, d.e, d.b) == (0, 15, 10)
+    assert d.a == pytest.approx(math.sqrt(10 / 3))
+    assert res == _reference_detect(y, ivals.intervals, 1.0, "wbs")
+
+
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_leaves_no_reference_cycle(method):
+    sig = make_signal(200, [60, 130], [0, 2.0, 0])
+    y = evaluate(sig) + sample(make_signal(200, [], [0.0]), NoiseSpec("gaussian", 1.0), 4)
+    ivals = sample_intervals(200, 120, 9, max_len=80)
+    gc.collect()
+    gc.disable()
+    try:
+        res = wbs_detect(y, ivals, 1.0) if method == "wbs" else bs_detect(y, 1.0)
+        assert res.change_points
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
