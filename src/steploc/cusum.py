@@ -16,7 +16,10 @@ Both :func:`cusum_scan` and the binary-segmentation recursion use one
 kernel, :func:`scan_windows`, which scores any number of windows
 ``(lo[i], hi[i]]`` in a single ragged numpy pass.  Its output is flat:
 window 0's ``hi[0] - lo[0] - 1`` values in ascending split order, then
-window 1's, and so on, alongside the split position of every value.
+window 1's, and so on.  Per-window quantities are spread over the splits
+with ``np.repeat``; a single window broadcasts them instead, so scanning
+one window of length n costs no length-n copies of its endpoints.
+``_scan_values(prefix, s, e)`` is that one-window case.
 """
 
 from __future__ import annotations
@@ -103,25 +106,29 @@ def cusum(y: np.ndarray, s: int, e: int, t: int) -> float:
     return w_left * left - w_right * right
 
 
-def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Scan values for every split of every window (lo[i], hi[i]], given
     prefix sums of y; each window needs hi[i] - lo[i] >= 2.
 
-    Returns ``(values, splits)``, laid out window after window in the
-    order of ``lo``/``hi`` and, inside a window, in ascending split order,
-    so window ``i`` owns ``hi[i] - lo[i] - 1`` consecutive entries.
+    The values are laid out window after window in the order of
+    ``lo``/``hi`` and, inside a window, in ascending split order, so
+    window ``i`` owns ``hi[i] - lo[i] - 1`` consecutive entries and the
+    last of them is the split ``hi[i] - 1``.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     counts = hi - lo - 1
-    starts = np.cumsum(counts) - counts
-    t = np.repeat(lo + 1 - starts, counts)
-    t += np.arange(t.size)
+
+    def per_split(a):
+        # A per-window quantity at each split; one window broadcasts as is.
+        return a if a.size == 1 else np.repeat(a, counts)
+
+    t = per_split(lo + 1 - (np.cumsum(counts) - counts)) + np.arange(counts.sum())
     right = prefix[t]
-    left = right - np.repeat(prefix[lo], counts)
-    np.subtract(np.repeat(prefix[hi], counts), right, out=right)
-    gap_l = (t - np.repeat(lo, counts)).astype(np.float64)
-    span = np.repeat((hi - lo).astype(np.float64), counts)
+    left = right - per_split(prefix[lo])
+    np.subtract(per_split(prefix[hi]), right, out=right)
+    gap_l = np.subtract(t, per_split(lo), dtype=np.float64)
+    span = per_split((hi - lo).astype(np.float64))
     # sqrt(gap_r / (span gap_l)) left - sqrt(gap_l / (span gap_r)) right,
     # operation for operation, in place so that a window of length n costs
     # a few length-n buffers; every integer here is exact in float64.
@@ -135,7 +142,12 @@ def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np
     np.sqrt(w, out=w)
     right *= w
     left -= right
-    return left, t
+    return left
+
+
+def _scan_values(prefix: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Scan values for all splits of the one window (s, e], given prefix sums of y."""
+    return scan_windows(prefix, np.array([s]), np.array([e]))
 
 
 def scan_prefix(y: np.ndarray) -> np.ndarray:
@@ -156,8 +168,7 @@ def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
     _check_window(y.size, s, e)
     if e - s < 2:
         raise ValueError(f"window ({s}, {e}] is too short to scan")
-    values, _ = scan_windows(scan_prefix(y), np.array([s]), np.array([e]))
-    return CusumScan(s=s, e=e, values=values)
+    return CusumScan(s=s, e=e, values=_scan_values(scan_prefix(y), s, e))
 
 
 def argmax_abs(scan: CusumScan) -> tuple[int, float]:

@@ -15,7 +15,9 @@ them the clipped intervals are scored together by the ragged kernel
 :func:`steploc.cusum.scan_windows`, in passes of at most ``PASS_POINTS``
 splits (a pass always takes at least one interval, so a single long
 interval is one pass), which bounds the temporaries of a node with many
-long intervals.
+long intervals.  A pass of one interval, which is every pass of plain
+binary segmentation, goes through the kernel's one-window form
+``_scan_values``.
 
 Ties are always broken toward the smallest index (both the split inside a
 scan and the winning interval), so results are deterministic even when the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steploc.cusum import scan_prefix, scan_windows
+from steploc.cusum import _scan_values, scan_prefix, scan_windows
 from steploc.noise import generator
 
 __all__ = [
@@ -143,13 +145,20 @@ def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, m
         while first < lo.size:
             # Windows first..last-1 hold at most PASS_POINTS splits, or are one window.
             last = max(first + 1, int(np.searchsorted(ends, done + PASS_POINTS, side="right")))
-            values, splits = scan_windows(prefix, lo[first:last], hi[first:last])
+            if last - first == 1:
+                # Every bs node, an interval over the budget, or a node's last
+                # interval alone; perfbench traces the one-window scan by this name.
+                values = _scan_values(prefix, int(lo[first]), int(hi[first]))
+            else:
+                values = scan_windows(prefix, lo[first:last], hi[first:last])
             k = int(np.argmax(np.abs(values)))
             score = abs(float(values[k]))
             # Only a strictly greater score from a later pass wins.
             if best is None or score > best.a:
                 m = int(np.searchsorted(ends, done + k, side="right"))
-                best = Detection(s=int(lo[m]), e=int(hi[m]), b=int(splits[k]), a=score)
+                # Interval m's values end at flat position ends[m], at split hi[m] - 1.
+                b = int(hi[m] - ends[m]) + done + k
+                best = Detection(s=int(lo[m]), e=int(hi[m]), b=b, a=score)
             first, done = last, int(ends[last - 1])
         if best is not None and best.a > tau:
             found.append(best)
