@@ -25,19 +25,19 @@ from steploc.experiments import (
     sweep_snr,
     write_csv,
 )
-from steploc.l0 import solve_l0
+from steploc.l0 import default_lambda, solve_l0
 from steploc.metrics import estimate_sigma
 from steploc.noise import NoiseSpec, sample, subseed
 from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
-from steploc.wbs import bs_detect, min_intervals, sample_intervals, wbs_detect
+from steploc.wbs import bs_detect, default_tau, min_intervals, sample_intervals, wbs_detect
 
 __all__ = ["main", "read_series", "InputParseError"]
 
 DEFAULT_SEED = 1729
 
-# Auto-tuned lambda/tau are floored here so that exactly-noiseless input
-# (estimated sigma 0) still yields valid positive parameters.
+# Auto-tuned lambda/tau for exactly noiseless input (estimated sigma 0),
+# where the default formulas would give 0.
 _PARAM_FLOOR = 1e-12
 
 
@@ -97,15 +97,15 @@ def _cmd_detect(args) -> int:
     params: dict = {}
 
     if args.method == "l0":
-        lam = args.lam if args.lam is not None else max(
-            args.c_lambda * sigma_hat * sigma_hat * math.log(n), _PARAM_FLOOR
-        )
+        lam = args.lam
+        if lam is None:
+            lam = _PARAM_FLOOR if sigma_hat == 0 else default_lambda(sigma_hat, n, args.c_lambda)
         params["lambda"] = lam
         cps = solve_l0(y, lam).segmentation.boundaries
     else:
-        tau = args.tau if args.tau is not None else max(
-            args.c_tau * sigma_hat * math.sqrt(math.log(n)), _PARAM_FLOOR
-        )
+        tau = args.tau
+        if tau is None:
+            tau = _PARAM_FLOOR if sigma_hat == 0 else default_tau(sigma_hat, n, args.c_tau)
         params["tau"] = tau
         if args.method == "bs":
             cps = bs_detect(y, tau).change_points

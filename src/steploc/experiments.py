@@ -199,6 +199,16 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
     return _replicate(cfg, rep)[0]
 
 
+def _map_replications(fn, replications: int, jobs: int) -> list:
+    """``[fn(r) for r in range(replications)]``; ``jobs > 1`` spreads the
+    calls over a thread pool, and the list keeps replication order."""
+    reps = range(replications)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, reps))
+    return [fn(r) for r in reps]
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
     """All replications of one configuration, ordered by replication index.
 
@@ -206,11 +216,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
     derived up front from the replication index, so the table does not
     depend on scheduling.
     """
-    reps = range(cfg.replications)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda r: run_replication(cfg, r), reps))
-    return [run_replication(cfg, r) for r in reps]
+    return _map_replications(lambda r: run_replication(cfg, r), cfg.replications, jobs)
 
 
 def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) -> list[ExperimentRow]:
@@ -252,12 +258,7 @@ def rate_check(cfg: ExperimentConfig, c_eps_grid, jobs: int = 1) -> dict[float, 
             return math.inf
         return max(jump * jump * err for jump, err in zip(jumps, report.per_cp_error))
 
-    reps = range(cfg.replications)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            norms = list(pool.map(normalized, reps))
-    else:
-        norms = [normalized(r) for r in reps]
+    norms = _map_replications(normalized, cfg.replications, jobs)
     return {
         float(c): sum(v <= c * bound_unit for v in norms) / cfg.replications
         for c in c_eps_grid

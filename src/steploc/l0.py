@@ -9,14 +9,18 @@ mean.  The recursion over last-segment starts
 
     best[j] = min_{0 <= i < j} best[i] + SSE(i+1..j) + lam * 1{i > 0}
 
-is evaluated for every j, giving the exact O(n^2) solution.  Among
-equal-cost candidates the smallest start index wins, which makes the
-returned partition deterministic even when the data admit ties.
+is evaluated for every j.  Among equal-cost candidates the smallest start
+index wins, which makes the returned partition deterministic even when the
+data admit ties.
 
-An optional pruning flag drops candidate starts that can no longer be
-optimal (the SSE of a merged segment is never below the sum of its parts,
-so a dominated start stays dominated); pruning changes the runtime, never
-the result.
+Candidate starts are pruned as in PELT (Killick, Fearnhead & Eckley 2012).
+The SSE of a merged segment is never below the sum of its parts, so a start
+whose cost at row j exceeds best[j] + lam stays strictly worse than start j
+at every later row and is dropped.  A start whose cost ties that bound is
+kept, because it can still win the smallest-index tie-break.  The result,
+segmentation and objective alike, equals that of the unpruned O(n^2) loop;
+pruning only shortens the rows, which pays when segments are short
+relative to n.
 """
 
 from __future__ import annotations
@@ -98,15 +102,17 @@ def segment_cost(prefix: SegmentPrefix, i: int, j: int) -> float:
     return max(0.0, float(sq - total * total / (j - i + 1)))
 
 
-def solve_l0(y: np.ndarray, lam: float, prune: bool = False) -> L0Result:
+def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     """Global minimizer of the penalized segmentation objective.
 
     Parameters
     ----------
     y : array of observations, length >= 1.
     lam : positive penalty per additional segment.
-    prune : drop dominated candidate starts (same result, often faster
-        when segments are short relative to n).
+
+    Candidate starts are pruned without changing the result: ties are kept,
+    so the returned partition is the smallest-index minimizer of the full
+    recursion.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -122,30 +128,31 @@ def solve_l0(y: np.ndarray, lam: float, prune: bool = False) -> L0Result:
     best[0] = 0.0
     parent = np.zeros(n + 1, dtype=np.int64)
 
-    if prune:
-        cand = np.array([0], dtype=np.int64)
-        for j in range(1, n + 1):
-            lengths = j - cand
-            sse = (s2[j] - s2[cand]) - (s1[j] - s1[cand]) ** 2 / lengths
-            np.maximum(sse, 0.0, out=sse)
-            cost = best[cand] + sse
-            cost[cand > 0] += lam
-            p = int(np.argmin(cost))
-            best[j] = cost[p]
-            parent[j] = cand[p]
-            keep = cost < best[j] + lam
-            cand = np.append(cand[keep], j)
-    else:
-        starts = np.arange(n, dtype=np.int64)
-        for j in range(1, n + 1):
-            i = starts[:j]
-            sse = (s2[j] - s2[i]) - (s1[j] - s1[i]) ** 2 / (j - i)
-            np.maximum(sse, 0.0, out=sse)
-            cost = best[:j] + sse
-            cost[1:] += lam
-            p = int(np.argmin(cost))
-            best[j] = cost[p]
-            parent[j] = p
+    # Live candidate starts, ascending, in cand[:size].  Every start but 0
+    # pays lam; once start 0 is dropped, so does cand[0] (first = 0).
+    cand = np.empty(n + 1, dtype=np.int64)
+    cand[0] = 0
+    size = 1
+    first = 1
+    for j in range(1, n + 1):
+        i = cand[:size]
+        sse = (s2[j] - s2[i]) - (s1[j] - s1[i]) ** 2 / (j - i)
+        np.maximum(sse, 0.0, out=sse)
+        cost = best[i] + sse
+        cost[first:] += lam
+        p = cost.argmin()
+        best[j] = cost[p]
+        parent[j] = i[p]
+        bound = best[j] + lam
+        if cost.max() > bound:
+            keep = cost <= bound
+            if first and not keep[0]:
+                first = 0
+            kept = i[keep]
+            size = kept.size
+            cand[:size] = kept
+        cand[size] = j
+        size += 1
 
     bounds = []
     j = n

@@ -166,11 +166,10 @@ def test_criterion_5_phase_transition_bracket():
     low_ok = all(rates[(m, n, 0.25)] < 0.5 for m in ("l0", "wbs") for n in (256, 1024))
     high_ok = all(rates[(m, n, 64.0)] >= 0.9 for m in ("l0", "wbs") for n in (256, 1024))
     detail = ", ".join(f"{m}/n={n}/c={c}: {v:.2f}" for (m, n, c), v in sorted(rates.items()))
-    # The wbs high-SNR clause fails structurally: the recursion convention
-    # passes (b+1, e), whose data window starts at b+2, so when the left
-    # shoulder of the one-point spike is detected first the adjacent right
-    # shoulder becomes unreachable (success caps near 0.5, and every
-    # failure returns exactly the left shoulder).  Stated here as written.
+    # The wbs high-SNR clause needs both shoulders of the one-point spike:
+    # after a split b the recursion passes (s, b] and (b, e], which
+    # partition the window, so the right shoulder b + 1 stays reachable
+    # once the left one is found.
     assert _verdict(5, "phase transition bracket", low_ok and high_ok, detail)
 
 

@@ -163,3 +163,31 @@ def test_main_returns_zero(tmp_path, capsys):
     assert main(["detect", str(path), "--method", "l0", "--lambda", "1.0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["change_points"] == [2]
+
+
+@pytest.mark.parametrize("flag", ["--c-lambda", "--c-tau"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_detect_rejects_nonpositive_multiplier(tmp_path, capsys, flag, value):
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v}\n" for v in np.random.default_rng(0).normal(size=40)))
+    method = "l0" if flag == "--c-lambda" else "wbs"
+    assert main(["detect", str(path), "--method", method, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive" in captured.err
+
+
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_default_parameters_are_scale_equivariant(tmp_path, capsys, method):
+    # Scaling by a power of two is exact, so sigma_hat, the default
+    # lambda/tau and every cost scale exactly and the change points stay.
+    y = np.repeat([0.0, 3.0, 0.0], [60, 50, 90]) + np.random.default_rng(1).normal(size=200)
+    found = []
+    for scale in (1.0, 2.0**-30):
+        path = tmp_path / "y.txt"
+        path.write_text("".join(f"{v!r}\n" for v in (y * scale).tolist()))
+        assert main(["detect", str(path), "--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        found.append(doc["change_points"])
+    assert found[0] == found[1]
+    assert found[0]

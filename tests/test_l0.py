@@ -150,16 +150,71 @@ def test_segment_count_monotone_in_lambda():
     assert counts == sorted(counts, reverse=True)
 
 
+def _reference_l0(y, lam):
+    """The unpruned O(n^2) recursion: every start is a candidate at every
+    row, smallest index first among equal costs."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    s1, s2 = segment_prefix(y)
+    best = np.empty(n + 1, dtype=np.float64)
+    best[0] = 0.0
+    parent = np.zeros(n + 1, dtype=np.int64)
+    starts = np.arange(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        i = starts[:j]
+        sse = (s2[j] - s2[i]) - (s1[j] - s1[i]) ** 2 / (j - i)
+        np.maximum(sse, 0.0, out=sse)
+        cost = best[:j] + sse
+        cost[1:] += lam
+        p = int(np.argmin(cost))
+        best[j] = cost[p]
+        parent[j] = p
+    bounds = []
+    j = n
+    while j > 0:
+        j = int(parent[j])
+        if j > 0:
+            bounds.append(j)
+    return tuple(reversed(bounds)), float(best[n])
+
+
 def test_pruning_is_exact():
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = int(rng.integers(2, 300))
         y = rng.normal(size=n) + np.repeat([0, 5.0], [n - n // 2, n // 2])
         lam = float(10 ** rng.uniform(-1, 2))
-        full = solve_l0(y, lam)
-        pruned = solve_l0(y, lam, prune=True)
-        assert pruned.segmentation == full.segmentation
-        assert pruned.objective == pytest.approx(full.objective, rel=1e-12)
+        res = solve_l0(y, lam)
+        assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, lam)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    st.sampled_from([1.0, 0.5]),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pruning_keeps_ties(ints, scale, lam):
+    # Small-integer and half-integer series tie often; a start whose cost
+    # ties the pruning bound can still win the smallest-index tie-break.
+    y = np.array(ints, dtype=np.float64) * scale
+    res = solve_l0(y, lam)
+    assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, lam)
+    if y.size <= 12:
+        best, _ = brute_force_l0(y.tolist(), lam)
+        assert res.objective == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "y, boundaries",
+    [([0, 0, 0, 2, 1, 0], ()), ([0, 2, 2, 2, 0, 1, 2], (1,))],
+)
+def test_pruning_keeps_tied_start(y, boundaries):
+    # Dropping starts whose cost equals best[j] + lam returns (3,) and
+    # (1, 4) here: equal objectives, but not the smallest-index minimizer.
+    res = solve_l0(np.array(y, dtype=np.float64), 1.5)
+    assert res.segmentation.boundaries == boundaries
+    assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, 1.5)
 
 
 def test_deterministic():
