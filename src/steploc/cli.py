@@ -2,7 +2,7 @@
 seeded simulations and Monte Carlo sweeps.
 
 Exit codes: 0 on success, 2 on usage/configuration errors, 3 when the
-input series cannot be parsed.  All randomness flows from ``--seed``
+input series cannot be read or parsed.  All randomness flows from ``--seed``
 (default 1729, fixed rather than drawn from entropy, so documented example
 invocations reproduce exactly), and all emitted floats carry 17
 significant digits; repeated invocations are byte-identical.
@@ -25,12 +25,19 @@ from steploc.experiments import (
     sweep_snr,
     write_csv,
 )
-from steploc.l0 import default_lambda, solve_l0
+from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
 from steploc.metrics import estimate_sigma
 from steploc.noise import NoiseSpec, sample, subseed
 from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
-from steploc.wbs import bs_detect, default_tau, min_intervals, sample_intervals, wbs_detect
+from steploc.wbs import (
+    DEFAULT_C_TAU,
+    bs_detect,
+    default_tau,
+    min_intervals,
+    sample_intervals,
+    wbs_detect,
+)
 
 __all__ = ["main", "read_series", "InputParseError"]
 
@@ -156,8 +163,8 @@ def _config_from(args, method=None, replications=None) -> ExperimentConfig:
         tau=getattr(args, "tau", None),
         intervals=getattr(args, "intervals", None),
         max_len=getattr(args, "max_len", None),
-        c_lambda=getattr(args, "c_lambda", 2.0),
-        c_tau=getattr(args, "c_tau", 1.5),
+        c_lambda=getattr(args, "c_lambda", DEFAULT_C_LAMBDA),
+        c_tau=getattr(args, "c_tau", DEFAULT_C_TAU),
     )
 
 
@@ -185,8 +192,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rate(args) -> int:
     cfg = _config_from(args)
-    fractions = rate_check(cfg, _parse_grid(args.c_eps_grid), jobs=args.jobs)
+    grid = _parse_grid(args.c_eps_grid)
+    # rate_check rejects this too, but only after every replication has run.
+    if build_signal(cfg).k < 1:
+        raise ValueError("rate check needs at least one change point")
     rows = run_experiment(cfg, jobs=args.jobs)
+    fractions = rate_check(cfg, grid, rows)
     out = _open_out(args.out)
     write_csv(rows, out, include_timing=args.timing)
     if out is not sys.stdout:
@@ -203,9 +214,9 @@ def _add_method_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None, help="bs/wbs threshold")
     p.add_argument("--intervals", type=int, default=None, help="number of random intervals (wbs)")
     p.add_argument("--max-len", dest="max_len", type=int, default=None, help="interval length cap")
-    p.add_argument("--c-lambda", dest="c_lambda", type=float, default=2.0,
+    p.add_argument("--c-lambda", dest="c_lambda", type=float, default=DEFAULT_C_LAMBDA,
                    help="multiplier for the default penalty sigma^2 log n")
-    p.add_argument("--c-tau", dest="c_tau", type=float, default=1.5,
+    p.add_argument("--c-tau", dest="c_tau", type=float, default=DEFAULT_C_TAU,
                    help="multiplier for the default threshold sigma sqrt(log n)")
 
 
@@ -280,10 +291,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputParseError as exc:
-        print(f"steploc: input error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    # UnicodeDecodeError is a ValueError, so this clause comes first.
+    except (InputParseError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         print(f"steploc: input error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -6,6 +6,9 @@ the detection method with its parameters, and a base seed.  Replication
 ``r`` consumes the derived streams ``subseed(base_seed, r, 0)`` (noise)
 and ``subseed(base_seed, r, 1)`` (random intervals), so tables are
 reproducible regardless of how the replications are scheduled.
+
+Each replication runs once and yields one :class:`ExperimentRow`; the CSV,
+the summary and the rate fractions are all computed from those rows.
 """
 
 from __future__ import annotations
@@ -18,12 +21,19 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from steploc.l0 import default_lambda, solve_l0
-from steploc.metrics import LocalizationReport, localization_report
+from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
+from steploc.metrics import localization_report
 from steploc.noise import FAMILIES, NoiseSpec, check_seed, sample, subseed
 from steploc.serialize import fmt_float
 from steploc.signal import PiecewiseSignal, make_signal, min_spacing, snr as signal_snr
-from steploc.wbs import bs_detect, default_tau, min_intervals, sample_intervals, wbs_detect
+from steploc.wbs import (
+    DEFAULT_C_TAU,
+    bs_detect,
+    default_tau,
+    min_intervals,
+    sample_intervals,
+    wbs_detect,
+)
 
 __all__ = [
     "METHODS",
@@ -71,8 +81,8 @@ class ExperimentConfig:
     tau: float | None = None
     intervals: int | None = None
     max_len: int | None = None
-    c_lambda: float = 2.0
-    c_tau: float = 1.5
+    c_lambda: float = DEFAULT_C_LAMBDA
+    c_tau: float = DEFAULT_C_TAU
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -97,6 +107,8 @@ class ExperimentRow:
     ``snr`` is ``inf`` for noiseless runs and ``nan`` for constant signals;
     ``max_err`` is ``nan`` unless the change point count was correct;
     ``hausdorff`` is ``inf`` when exactly one of truth/estimate is empty.
+    ``per_cp_error`` is the report's per-change-point error: present
+    exactly when the count was correct, and not written to the CSV.
     """
 
     rep: int
@@ -108,6 +120,7 @@ class ExperimentRow:
     max_err: float
     hausdorff: float
     ms: float
+    per_cp_error: tuple[int, ...] | None = None
 
 
 def build_signal(cfg: ExperimentConfig) -> PiecewiseSignal:
@@ -160,7 +173,7 @@ def _detect(cfg: ExperimentConfig, sig: PiecewiseSignal, y: np.ndarray, rep: int
     return wbs_detect(y, ivals, tau).change_points
 
 
-def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[ExperimentRow, LocalizationReport]:
+def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
     sig = build_signal(cfg)
     y = sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, rep, 0))
     start = time.perf_counter()
@@ -180,7 +193,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[ExperimentRow, Localiza
     else:
         max_err = math.nan
 
-    row = ExperimentRow(
+    return ExperimentRow(
         rep=rep,
         snr=snr_val,
         method=cfg.method,
@@ -190,23 +203,13 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[ExperimentRow, Localiza
         max_err=max_err,
         hausdorff=report.hausdorff,
         ms=ms,
+        per_cp_error=report.per_cp_error,
     )
-    return row, report
 
 
 def run_replication(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
     """Run one replication; deterministic in (cfg, rep)."""
-    return _replicate(cfg, rep)[0]
-
-
-def _map_replications(fn, replications: int, jobs: int) -> list:
-    """``[fn(r) for r in range(replications)]``; ``jobs > 1`` spreads the
-    calls over a thread pool, and the list keeps replication order."""
-    reps = range(replications)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, reps))
-    return [fn(r) for r in reps]
+    return _replicate(cfg, rep)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
@@ -216,7 +219,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
     derived up front from the replication index, so the table does not
     depend on scheduling.
     """
-    return _map_replications(lambda r: run_replication(cfg, r), cfg.replications, jobs)
+    reps = range(cfg.replications)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(lambda r: _replicate(cfg, r), reps))
+    return [_replicate(cfg, r) for r in reps]
 
 
 def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) -> list[ExperimentRow]:
@@ -241,9 +248,11 @@ def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) ->
     return rows
 
 
-def rate_check(cfg: ExperimentConfig, c_eps_grid, jobs: int = 1) -> dict[float, float]:
+def rate_check(cfg: ExperimentConfig, c_eps_grid, rows) -> dict[float, float]:
     """Fraction of replications with max_k kappa_k^2 |err_k| <= c * sigma^2 log n.
 
+    ``rows`` are the replications of ``cfg``, as :func:`run_experiment`
+    returns them; each change point's error is weighted by its own jump.
     Replications with the wrong change point count fail every grid value.
     """
     sig = build_signal(cfg)
@@ -251,16 +260,13 @@ def rate_check(cfg: ExperimentConfig, c_eps_grid, jobs: int = 1) -> dict[float, 
         raise ValueError("rate check needs at least one change point")
     jumps = sig.jumps()
     bound_unit = cfg.sigma * cfg.sigma * math.log(cfg.n)
-
-    def normalized(rep: int) -> float:
-        _, report = _replicate(cfg, rep)
-        if not report.k_correct:
-            return math.inf
-        return max(jump * jump * err for jump, err in zip(jumps, report.per_cp_error))
-
-    norms = _map_replications(normalized, cfg.replications, jobs)
+    norms = [
+        max(jump * jump * err for jump, err in zip(jumps, row.per_cp_error))
+        if row.k_correct else math.inf
+        for row in rows
+    ]
     return {
-        float(c): sum(v <= c * bound_unit for v in norms) / cfg.replications
+        float(c): sum(v <= c * bound_unit for v in norms) / len(norms)
         for c in c_eps_grid
     }
 

@@ -42,6 +42,7 @@ __all__ = [
     "solve_l0",
     "recompute_objective",
     "default_lambda",
+    "DEFAULT_C_LAMBDA",
 ]
 
 
@@ -187,8 +188,12 @@ def recompute_objective(y: np.ndarray, seg: Segmentation, lam: float) -> float:
     return sse + lam * (seg.segment_count - 1)
 
 
-def default_lambda(sigma: float, n, c_lambda: float = 2.0) -> float:
-    """Penalty scale c * sigma^2 * log(n); c = 2.0 passes the acceptance suite."""
+# The multiplier c of the default penalty; this value passes the acceptance suite.
+DEFAULT_C_LAMBDA = 2.0
+
+
+def default_lambda(sigma: float, n, c_lambda: float = DEFAULT_C_LAMBDA) -> float:
+    """Penalty scale c * sigma^2 * log(n), with c = ``DEFAULT_C_LAMBDA`` by default."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_lambda > 0:

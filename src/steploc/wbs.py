@@ -48,6 +48,7 @@ __all__ = [
     "bs_detect",
     "default_tau",
     "min_intervals",
+    "DEFAULT_C_TAU",
 ]
 
 # Split positions scored per numpy pass at one recursion node: bounds the
@@ -193,8 +194,11 @@ def bs_detect(y: np.ndarray, tau: float) -> DetectionResult:
     return _detect(y, ((0, int(y.size)),), tau, method="bs")
 
 
-def default_tau(sigma: float, n, c_tau: float = 1.5) -> float:
-    """Threshold scale c * sigma * sqrt(log(n)); c = 1.5 by default."""
+DEFAULT_C_TAU = 1.5
+
+
+def default_tau(sigma: float, n, c_tau: float = DEFAULT_C_TAU) -> float:
+    """Threshold scale c * sigma * sqrt(log(n)), with c = ``DEFAULT_C_TAU`` by default."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_tau > 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import steploc.experiments
 from steploc.cli import main
 from steploc.serialize import fmt_float, json_dumps
 
@@ -76,6 +78,19 @@ def test_missing_file_is_input_error():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "y.txt"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n3.0\n")
+    assert main(["detect", str(path), "--method", "l0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("steploc: input error: ")
+
+
 def test_simulate_round_trip(tmp_path):
     sim = run_cli("simulate", "--n", "100", "--k", "1", "--kappa", "2", "--sigma", "0",
                   "--seed", "1")
@@ -128,6 +143,42 @@ def test_rate_subcommand(tmp_path):
     doc = json.loads(summary.read_text())
     assert set(doc["rate_fractions"]) == {"1", "8"}
     assert 0.0 <= doc["rate_fractions"]["1"] <= 1.0
+
+
+@pytest.mark.parametrize("method, digest", [
+    pytest.param("l0", "1d79648bbada8fc69000bc98131d24b7a85f431f64a23ece7e2c5c0bcd7db839", id="l0"),
+    pytest.param("wbs", "f1bd04dd5414fabfc8dff4273629b9df9d5753280e2c488d1b8f101e39450310", id="wbs"),
+])
+def test_rate_runs_each_replication_once(tmp_path, capsys, monkeypatch, method, digest):
+    replicate = steploc.experiments._replicate
+    reps_run = []
+
+    def counting(cfg, rep):
+        reps_run.append(rep)
+        return replicate(cfg, rep)
+
+    monkeypatch.setattr(steploc.experiments, "_replicate", counting)
+    summary = tmp_path / "rate.json"
+    assert main(["rate", "--n", "300", "--k", "2", "--kappa", "2", "--sigma", "1",
+                 "--method", method, "--reps", "6", "--jobs", "2", "--seed", "31",
+                 "--summary", str(summary)]) == 0
+    assert sorted(reps_run) == list(range(6))
+    # The digests pin the CSV and the summary (rows and rate fractions) as
+    # the rate check gave them when it ran the replications a second time.
+    out = capsys.readouterr().out.encode() + summary.read_bytes()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_rate_without_change_points_fails_before_replicating(capsys, monkeypatch):
+    def replicate(cfg, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(steploc.experiments, "_replicate", replicate)
+    assert main(["rate", "--n", "200", "--k", "0", "--sigma", "1", "--method", "l0",
+                 "--reps", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rate check needs at least one change point" in captured.err
 
 
 def test_detect_json_formatting(tmp_path):

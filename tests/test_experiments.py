@@ -17,6 +17,8 @@ from steploc.experiments import (
     sweep_snr,
     write_csv,
 )
+from steploc.l0 import solve_l0
+from steploc.noise import NoiseSpec, sample, subseed
 from steploc.signal import make_signal, min_spacing
 
 
@@ -133,7 +135,7 @@ def test_sweep_low_snr_fails_high_snr_succeeds():
 def test_rate_check_zero_noise_passes_everything():
     cfg = ExperimentConfig(n=100, method="l0", sigma=0.0, base_seed=19, replications=5,
                            k=2, delta=30, kappa=1.0, lam=1e-9)
-    assert rate_check(cfg, [0.5, 1.0]) == {0.5: 1.0, 1.0: 1.0}
+    assert rate_check(cfg, [0.5, 1.0], run_experiment(cfg)) == {0.5: 1.0, 1.0: 1.0}
 
 
 def test_rate_check_locally_adaptive_in_jump_size():
@@ -144,11 +146,41 @@ def test_rate_check_locally_adaptive_in_jump_size():
     def passing_c(kappa):
         cfg = ExperimentConfig(n=500, method="l0", sigma=1.0, base_seed=19, replications=100,
                                k=3, delta=125, kappa=kappa, lam=2 * math.log(500))
-        fractions = rate_check(cfg, grid)
+        fractions = rate_check(cfg, grid, run_experiment(cfg))
         return min(c for c in grid if fractions[c] >= 0.85)
 
     c1, c2 = passing_c(1.0), passing_c(2.0)
     assert abs(math.log2(c1) - math.log2(c2)) <= 1.0
+
+
+def test_rate_check_weights_each_error_by_its_own_jump():
+    # Jumps 1 and 2: the second change point's error counts four times as
+    # much as the first's.  The expected fractions are computed from the
+    # raw per-point errors, without the harness.
+    n, sigma, seed, reps = 300, 1.0, 23, 40
+    sig = make_signal(n, [100, 200], [0.0, 1.0, 3.0])
+    lam = 2 * math.log(n)
+    cfg = ExperimentConfig(n=n, method="l0", sigma=sigma, base_seed=seed, replications=reps,
+                           signal=sig, lam=lam)
+    grid = [0.25, 0.5, 1.0, 2.0, 4.0]
+    bound_unit = sigma * sigma * math.log(n)
+
+    def fractions(weights):
+        norms = []
+        for r in range(reps):
+            y = sample(sig, NoiseSpec("gaussian", sigma), subseed(seed, r, 0))
+            est = solve_l0(y, lam).segmentation.boundaries
+            if len(est) != 2:
+                norms.append(math.inf)
+                continue
+            errs = [abs(h - t) for h, t in zip(sorted(est), (100, 200))]
+            norms.append(max(w * e for w, e in zip(weights, errs)))
+        return {c: sum(v <= c * bound_unit for v in norms) / reps for c in grid}
+
+    expected = fractions((1.0, 4.0))
+    assert expected != fractions((1.0, 1.0))
+    assert expected != fractions((4.0, 4.0))
+    assert rate_check(cfg, grid, run_experiment(cfg, jobs=2)) == expected
 
 
 def test_csv_format_exact():
