@@ -1,8 +1,10 @@
 """Command-line interface: detect change points in a series file, or run
 seeded simulations and Monte Carlo sweeps.
 
-Exit codes: 0 on success, 2 on usage/configuration errors, 3 when the
-input series cannot be read or parsed.  All randomness flows from ``--seed``
+Exit codes: 0 on success, 2 on usage/configuration errors and when a
+result cannot be written to its ``--out``/``--summary`` path (reported as
+``steploc: output error``), 3 when the input series cannot be read or
+parsed (``steploc: input error``).  All randomness flows from ``--seed``
 (default 1729, fixed rather than drawn from entropy, so documented example
 invocations reproduce exactly), and all emitted floats carry 17
 significant digits; repeated invocations are byte-identical.
@@ -11,6 +13,7 @@ significant digits; repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -48,7 +51,15 @@ DEFAULT_SEED = 1729
 _PARAM_FLOOR = 1e-12
 
 
-class InputParseError(Exception):
+class InputError(Exception):
+    """The input series could not be opened, decoded or parsed."""
+
+
+class OutputError(Exception):
+    """A result could not be written to its output path."""
+
+
+class InputParseError(InputError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -80,24 +91,38 @@ def read_series(stream) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _open_out(path):
-    return sys.stdout if path is None else open(path, "w")
+def _read_input(path) -> np.ndarray:
+    """The series in the file ``path``, or on stdin for ``-``."""
+    try:
+        if path == "-":
+            return read_series(sys.stdin)
+        with open(path) as stream:
+            return read_series(stream)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(exc) from exc
+
+
+@contextlib.contextmanager
+def _output(path):
+    """A text stream to ``path``, or stdout for None; a failure to open,
+    write or close the file is raised as :class:`OutputError`."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as out:
+            yield out
+    except OSError as exc:
+        raise OutputError(exc) from exc
 
 
 def _emit(text: str, path) -> None:
-    out = _open_out(path)
-    out.write(text)
-    if out is not sys.stdout:
-        out.close()
+    with _output(path) as out:
+        out.write(text)
 
 
 def _cmd_detect(args) -> int:
-    stream = sys.stdin if args.input == "-" else open(args.input)
-    try:
-        y = read_series(stream)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    y = _read_input(args.input)
 
     n = int(y.size)
     sigma_hat = args.sigma if args.sigma is not None else estimate_sigma(y)
@@ -181,10 +206,8 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     base = _config_from(args)
     rows = sweep_snr(base, _parse_grid(args.snr_grid), reps=args.reps, jobs=args.jobs)
-    out = _open_out(args.out)
-    write_csv(rows, out, include_timing=args.timing)
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        write_csv(rows, out, include_timing=args.timing)
     if args.summary is not None:
         _emit(json_dumps(summarize(base, rows)) + "\n", args.summary)
     return 0
@@ -198,10 +221,8 @@ def _cmd_rate(args) -> int:
         raise ValueError("rate check needs at least one change point")
     rows = run_experiment(cfg, jobs=args.jobs)
     fractions = rate_check(cfg, grid, rows)
-    out = _open_out(args.out)
-    write_csv(rows, out, include_timing=args.timing)
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        write_csv(rows, out, include_timing=args.timing)
     doc = summarize(cfg, rows)
     doc["rate_fractions"] = {fmt_float(c): f for c, f in fractions.items()}
     if args.summary is not None:
@@ -291,10 +312,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # UnicodeDecodeError is a ValueError, so this clause comes first.
-    except (InputParseError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+    except InputError as exc:
         print(f"steploc: input error: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"steploc: output error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"steploc: error: {exc}", file=sys.stderr)
         return 2

@@ -10,23 +10,29 @@ which partition the working window: the child (b, e] starts at position
 binary segmentation is the special case of a single candidate interval
 (0, n) reused at every level.
 
-The windows still to search are kept on an explicit stack.  At each of
-them the clipped intervals are scored together by the ragged kernel
+The windows still to search are kept on an explicit stack.  Each call
+keeps, per interval, the clip it was last scored on together with that
+clip's first maximising split and its score.  At a node only the live
+intervals whose clip differs from the cached one are scored again; the
+others keep their cached split and score.  This is exact: the scan values
+of a clip depend on nothing but its endpoints ``(lo, hi)``.  A child
+window changes only the clips of intervals that straddle the new split,
+so after the root most intervals are reused rather than rescanned.
+
+The stale clips are scored together by the ragged kernel
 :func:`steploc.cusum.scan_windows`, in passes of at most ``PASS_POINTS``
 splits (a pass always takes at least one interval, so a single long
 interval is one pass), which bounds the temporaries of a node with many
-long intervals.  A pass of one interval, which is every pass of plain
-binary segmentation, goes through the kernel's one-window form
-``_scan_values``.
+long intervals.  Per pass, ``np.maximum.reduceat`` gives each clip's best
+``|value|`` and the first position reaching it gives the split.  A pass
+of one interval, which is every pass of plain binary segmentation, goes
+through the kernel's one-window form ``_scan_values``.
 
 Ties are always broken toward the smallest index (both the split inside a
 scan and the winning interval), so results are deterministic even when the
-noise distribution produces tied sample means.  The kernel lays the
-values out interval after interval, each in ascending split order, so the
-first maximum of ``|values|`` over that layout lies in the first interval
-reaching the maximum, at its first maximising split; passes are taken in
-order and a later pass replaces the winner only with a strictly greater
-score.
+noise distribution produces tied sample means.  Each clip keeps its first
+maximising split, and the node's winner is the first interval, in the
+order of the interval set, whose cached score is the node's maximum.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ __all__ = [
 # Split positions scored per numpy pass at one recursion node: bounds the
 # temporaries of a node with many long clipped intervals.
 PASS_POINTS = 4096
+
+# Endpoint pairs asked of the generator per draw in sample_intervals.
+MAX_DRAW = 2**13
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,13 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     """Draw ``m`` interval endpoints uniformly on {0, ..., n}, conditioned on
     length >= 2 (and <= max_len when given), by rejection.
 
-    Deterministic in ``seed``: proposals are consumed in a fixed order, so
-    the same arguments always return the same set.
+    The result is the first ``m`` admissible pairs of the generator's stream
+    of endpoint pairs, so it is deterministic in ``seed``.  That stream does
+    not depend on how many pairs each draw asks for, so the draws are sized
+    freely: the first asks for ``2 m`` pairs, each later one for what the
+    acceptance rate seen so far says is missing, plus a margin, and none
+    for more than ``MAX_DRAW`` pairs, which bounds the memory of a call
+    whose ``max_len`` is tiny against ``n``.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
@@ -115,14 +129,19 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     cap = n if max_len is None else max_len
     rng = generator(seed)
     blocks: list[np.ndarray] = []
-    got = 0
+    got = drawn = 0
     while got < m:
-        chunk = max(64, 2 * (m - got))
+        if drawn == 0:
+            chunk = max(64, 2 * m)
+        else:
+            chunk = int(1.25 * (m - got) * drawn / max(got, 1)) + 64
+        chunk = min(chunk, MAX_DRAW)
         pairs = rng.integers(0, n + 1, size=(chunk, 2))
         gaps = pairs[:, 1] - pairs[:, 0]
         kept = pairs[(gaps >= 2) & (gaps <= cap)][: m - got]
         blocks.append(kept)
         got += len(kept)
+        drawn += chunk
     pairs = np.concatenate(blocks)
     intervals = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
     return IntervalSet(n=n, intervals=intervals, seed=seed, max_len=max_len)
@@ -132,39 +151,59 @@ def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, m
     prefix = scan_prefix(y)
     alphas = np.array([a for a, _ in intervals], dtype=np.int64)
     betas = np.array([b for _, b in intervals], dtype=np.int64)
+    # Per interval id: the clip (lo, hi) scored last, its first best split
+    # and its score.  lo = -1 marks an interval never scored.
+    cached_lo = np.full(alphas.size, -1, dtype=np.int64)
+    cached_hi = np.zeros(alphas.size, dtype=np.int64)
+    split = np.zeros(alphas.size, dtype=np.int64)
+    score = np.zeros(alphas.size, dtype=np.float64)
     found: list[Detection] = []
     stack = [(0, y.size)]
     while stack:
         s, e = stack.pop()
         lo = np.maximum(alphas, s)
         hi = np.minimum(betas, e)
-        live = hi - lo > 1
+        live = np.flatnonzero(hi - lo > 1)
+        if live.size == 0:
+            continue
         lo, hi = lo[live], hi[live]
-        ends = np.cumsum(hi - lo - 1)
-        best = None
+        stale = (lo != cached_lo[live]) | (hi != cached_hi[live])
+        ids, slo, shi = live[stale], lo[stale], hi[stale]
+        counts = shi - slo - 1
+        ends = np.cumsum(counts)
         first = done = 0
-        while first < lo.size:
+        while first < ids.size:
             # Windows first..last-1 hold at most PASS_POINTS splits, or are one window.
             last = max(first + 1, int(np.searchsorted(ends, done + PASS_POINTS, side="right")))
             if last - first == 1:
                 # Every bs node, an interval over the budget, or a node's last
-                # interval alone; perfbench traces the one-window scan by this name.
-                values = _scan_values(prefix, int(lo[first]), int(hi[first]))
+                # stale interval alone; perfbench traces the one-window scan by this name.
+                values = _scan_values(prefix, int(slo[first]), int(shi[first]))
+                np.abs(values, out=values)
+                k = int(np.argmax(values))
+                split[ids[first]] = slo[first] + 1 + k
+                score[ids[first]] = values[k]
             else:
-                values = scan_windows(prefix, lo[first:last], hi[first:last])
-            k = int(np.argmax(np.abs(values)))
-            score = abs(float(values[k]))
-            # Only a strictly greater score from a later pass wins.
-            if best is None or score > best.a:
-                m = int(np.searchsorted(ends, done + k, side="right"))
-                # Interval m's values end at flat position ends[m], at split hi[m] - 1.
-                b = int(hi[m] - ends[m]) + done + k
-                best = Detection(s=int(lo[m]), e=int(hi[m]), b=b, a=score)
+                values = scan_windows(prefix, slo[first:last], shi[first:last])
+                np.abs(values, out=values)
+                starts = ends[first:last] - counts[first:last] - done
+                top = np.maximum.reduceat(values, starts)
+                # The first position at or after each window's start that
+                # reaches its maximum lies inside that window.
+                hits = np.flatnonzero(values == np.repeat(top, counts[first:last]))
+                k = hits[np.searchsorted(hits, starts)] - starts
+                split[ids[first:last]] = slo[first:last] + 1 + k
+                score[ids[first:last]] = top
             first, done = last, int(ends[last - 1])
-        if best is not None and best.a > tau:
-            found.append(best)
-            stack.append((best.b, e))
-            stack.append((s, best.b))
+        cached_lo[ids], cached_hi[ids] = slo, shi
+        # The first interval, in id order, reaching the node's best score.
+        w = int(np.argmax(score[live]))
+        best = live[w]
+        if score[best] > tau:
+            b = int(split[best])
+            found.append(Detection(s=int(lo[w]), e=int(hi[w]), b=b, a=float(score[best])))
+            stack.append((b, e))
+            stack.append((s, b))
     found.sort(key=lambda d: d.b)
     return DetectionResult(
         change_points=tuple(d.b for d in found),

@@ -242,3 +242,23 @@ def test_detect_default_parameters_are_scale_equivariant(tmp_path, capsys, metho
         found.append(doc["change_points"])
     assert found[0] == found[1]
     assert found[0]
+
+
+@pytest.mark.parametrize("kind", ["detect-out-directory", "rate-summary-missing-directory",
+                                  "simulate-out-directory"])
+def test_unwritable_output_is_output_error(tmp_path, capsys, kind):
+    series = tmp_path / "y.txt"
+    series.write_text("1.0\n1.0\n9.0\n9.0\n")
+    argv = {
+        "detect-out-directory": ["detect", str(series), "--method", "l0", "--out", str(tmp_path)],
+        "rate-summary-missing-directory": [
+            "rate", "--n", "100", "--k", "1", "--kappa", "2", "--sigma", "1", "--method", "l0",
+            "--reps", "2", "--out", str(tmp_path / "r.csv"),
+            "--summary", str(tmp_path / "missing" / "x.json")],
+        "simulate-out-directory": ["simulate", "--n", "20", "--k", "1", "--kappa", "2",
+                                   "--sigma", "1", "--out", str(tmp_path)],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("steploc: output error: ")

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steploc.wbs
 from oracles import admissible_interval_mean_length
-from steploc.cusum import argmax_abs, cusum_scan
-from steploc.noise import NoiseSpec, sample
+from steploc.cusum import _scan_values, argmax_abs, cusum_scan, scan_windows
+from steploc.noise import NoiseSpec, generator, sample
 from steploc.signal import evaluate, make_signal, min_spacing, spike_signal
 from steploc.wbs import (
     PASS_POINTS,
@@ -46,6 +47,39 @@ def test_sampling_stream_is_pinned(args, max_len, digest):
     # The acceptance configs and the benchmark digests depend on this exact stream.
     intervals = sample_intervals(*args, max_len=max_len).intervals
     assert hashlib.sha256(repr(intervals).encode()).hexdigest() == digest
+
+
+def _fixed_chunk_sample(n, m, seed, max_len):
+    """The rejection loop with the old chunk rule: twice the pairs still missing."""
+    cap = n if max_len is None else max_len
+    rng = generator(seed)
+    blocks, got = [], 0
+    while got < m:
+        pairs = rng.integers(0, n + 1, size=(max(64, 2 * (m - got)), 2))
+        gaps = pairs[:, 1] - pairs[:, 0]
+        kept = pairs[(gaps >= 2) & (gaps <= cap)][: m - got]
+        blocks.append(kept)
+        got += len(kept)
+    pairs = np.concatenate(blocks)
+    return tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+@st.composite
+def sampling_args(draw):
+    """(n, m, max_len) with at least ~1 % of endpoint pairs admissible when
+    n is large, so the old loop stays quick; small n reaches max_len = 2."""
+    n = draw(st.one_of(st.integers(2, 300), st.integers(301, 2**40)))
+    shortest = 2 if n <= 300 else n // 50
+    max_len = draw(st.one_of(st.none(), st.integers(shortest, n)))
+    m = draw(st.integers(1, 400))
+    return n, m, max_len
+
+
+@given(sampling_args(), st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sampling_draw_sizes_do_not_change_the_intervals(args, seed):
+    n, m, max_len = args
+    assert sample_intervals(n, m, seed, max_len=max_len).intervals == _fixed_chunk_sample(n, m, seed, max_len)
 
 
 def test_sampling_respects_constraints():
@@ -288,6 +322,76 @@ def test_tie_across_passes_goes_to_the_first_interval():
     assert (d.s, d.e, d.b) == (0, 15, 10)
     assert d.a == pytest.approx(math.sqrt(10 / 3))
     assert res == _reference_detect(y, ivals.intervals, 1.0, "wbs")
+
+
+def _nested_and_duplicated(intervals, n):
+    """The intervals twice (the second copy reversed), each one's left half,
+    and (0, n): equal and nested clips at every node."""
+    halves = tuple((a, a + max(1, (b - a) // 2)) for a, b in intervals)
+    return intervals + intervals[::-1] + halves + ((0, n),)
+
+
+@given(tied_series(min_n=4), st.integers(1, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_detect_matches_reference_with_duplicated_and_nested_intervals(y, m, seed, tau):
+    # A small tau recurses deeply, so clips scored in one subtree come back
+    # unchanged, or changed, in the sibling subtree.
+    n = y.size
+    intervals = _nested_and_duplicated(sample_intervals(n, m, seed).intervals, n)
+    ivals = IntervalSet(n, intervals)
+    assert wbs_detect(y, ivals, tau) == _reference_detect(y, intervals, tau, "wbs")
+
+
+def _rescored_splits(y, intervals, tau):
+    """Splits scored by the recursion, walked depth first with the left
+    child first: when an interval is rescored only if its clip differs from
+    the clip it had when it was last scored, and when every live clip is
+    scored at every node."""
+    last = {}
+    rescored = every = 0
+
+    def recurse(s, e):
+        nonlocal rescored, every
+        best = None
+        for i, (a, b) in enumerate(intervals):
+            lo, hi = max(a, s), min(b, e)
+            if hi - lo > 1:
+                every += hi - lo - 1
+                if last.get(i) != (lo, hi):
+                    rescored += hi - lo - 1
+                    last[i] = (lo, hi)
+                split, score = argmax_abs(cusum_scan(y, lo, hi))
+                if best is None or score > best[1]:
+                    best = (split, score)
+        if best is not None and best[1] > tau:
+            recurse(s, best[0])
+            recurse(best[0], e)
+
+    recurse(0, len(y))
+    return rescored, every
+
+
+@pytest.mark.parametrize("n, m, max_len, tau", [(300, 80, None, 1.0), (400, 200, 60, 0.5), (256, 512, 16, 2.0)])
+def test_detect_rescores_only_changed_clips(monkeypatch, n, m, max_len, tau):
+    sig = make_signal(n, [n // 4, n // 2, 3 * n // 4], [0, 2.0, -1.0, 1.0])
+    y = evaluate(sig) + sample(make_signal(n, [], [0.0]), NoiseSpec("gaussian", 1.0), 21)
+    ivals = sample_intervals(n, m, 3, max_len=max_len)
+    scored = []
+
+    def counting_windows(prefix, lo, hi):
+        scored.append(int(np.sum(hi - lo - 1)))
+        return scan_windows(prefix, lo, hi)
+
+    def counting_values(prefix, s, e):
+        scored.append(e - s - 1)
+        return _scan_values(prefix, s, e)
+
+    monkeypatch.setattr(steploc.wbs, "scan_windows", counting_windows)
+    monkeypatch.setattr(steploc.wbs, "_scan_values", counting_values)
+    res = wbs_detect(y, ivals, tau)
+    assert len(res.change_points) >= 3
+    rescored, every = _rescored_splits(y, ivals.intervals, tau)
+    assert sum(scored) == rescored < every
 
 
 @pytest.mark.parametrize("method", ["wbs", "bs"])
