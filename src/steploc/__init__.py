@@ -18,7 +18,6 @@ from steploc.signal import (
     two_point_pair,
 )
 from steploc.noise import NoiseSpec, sample, subseed
-from steploc.cusum import CusumScan, cusum, cusum_scan, argmax_abs, contrast, project
 from steploc.l0 import Segmentation, L0Result, solve_l0, recompute_objective, default_lambda
 from steploc.wbs import (
     IntervalSet,
@@ -47,12 +46,6 @@ __all__ = [
     "NoiseSpec",
     "sample",
     "subseed",
-    "CusumScan",
-    "cusum",
-    "cusum_scan",
-    "argmax_abs",
-    "contrast",
-    "project",
     "Segmentation",
     "L0Result",
     "solve_l0",

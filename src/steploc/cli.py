@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 
@@ -67,10 +68,14 @@ class InputParseError(InputError):
 
 def read_series(stream) -> np.ndarray:
     """Parse one numeric series: one value per line, '#' comments allowed,
-    a single leading non-numeric header line is skipped."""
+    a single leading non-numeric header line is skipped.  One leading
+    U+FEFF (a UTF-8 byte order mark) is dropped, so it never turns the
+    first value into a header."""
     values: list[float] = []
     header_allowed = True
-    for line_no, raw in enumerate(stream, start=1):
+    lines = iter(stream)
+    head = [next(lines, "").removeprefix("\ufeff")]
+    for line_no, raw in enumerate(itertools.chain(head, lines), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

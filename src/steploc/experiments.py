@@ -217,8 +217,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
 
     ``jobs > 1`` fans the replications out to a thread pool; sub-seeds are
     derived up front from the replication index, so the table does not
-    depend on scheduling.
+    depend on scheduling.  ``jobs`` below 1 raises ``ValueError``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     reps = range(cfg.replications)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -1,44 +1,40 @@
-"""Wild binary segmentation over randomly sampled intervals.
+"""Wild binary segmentation over a set of candidate intervals.
 
 Each working window (s, e] is intersected with every candidate interval;
 the best split of each clipped interval is scored by the absolute scan
 statistic, and intervals clipped to length <= 1 are dropped.  If the
 winning score exceeds the threshold ``tau`` the winning split ``b`` is
 recorded and the procedure continues on the children (s, b] and (b, e],
-which partition the working window: the child (b, e] starts at position
-``b + 1``, so a change point right after ``b`` stays reachable.  Plain
-binary segmentation is the special case of a single candidate interval
-(0, n) reused at every level.
+which partition the working window, so a change point right after ``b``
+stays reachable.  Plain binary segmentation is the same recursion over the
+one-interval set ``IntervalSet(n, ((0, n),))``: both detectors run
+:func:`_detect`, which checks the arguments once.
 
-The windows still to search are kept on an explicit stack.  Each call
-keeps, per interval, the clip it was last scored on together with that
-clip's first maximising split and its score.  At a node only the live
-intervals whose clip differs from the cached one are scored again; the
-others keep their cached split and score.  This is exact: the scan values
-of a clip depend on nothing but its endpoints ``(lo, hi)``.  A child
-window changes only the clips of intervals that straddle the new split,
-so after the root most intervals are reused rather than rescanned.
+The windows still to search are kept on an explicit stack.  Per interval,
+a call keeps the clip it last scored with that clip's first maximising
+split and its score, and at a node only the live intervals whose clip
+changed are scored again.  This is exact, as a clip's scan values depend
+on nothing but its endpoints, and a child window changes only the clips
+of the intervals that straddle the new split.
 
-The stale clips are scored together by the ragged kernel
-:func:`steploc.cusum.scan_windows`, in passes of at most ``PASS_POINTS``
-splits (a pass always takes at least one interval, so a single long
-interval is one pass), which bounds the temporaries of a node with many
-long intervals.  Per pass, ``np.maximum.reduceat`` gives each clip's best
-``|value|`` and the first position reaching it gives the split.  A pass
-of one interval, which is every pass of plain binary segmentation, goes
-through the kernel's one-window form ``_scan_values``.
+The stale clips are scored by the ragged kernel
+:func:`steploc.cusum.scan_windows` in passes of at most ``PASS_POINTS``
+splits (or of one longer interval), which bounds a node's temporaries.  A
+pass of one interval, such as every pass of plain binary segmentation,
+enters the kernel through its one-window form ``_scan_values``.  Every
+pass ends the same way: ``np.maximum.reduceat`` gives each window's best
+``|value|`` and the first position reaching it gives the split.
 
-Ties are always broken toward the smallest index (both the split inside a
-scan and the winning interval), so results are deterministic even when the
-noise distribution produces tied sample means.  Each clip keeps its first
-maximising split, and the node's winner is the first interval, in the
-order of the interval set, whose cached score is the node's maximum.
+Ties are always broken toward the smallest index: each clip keeps its
+first maximising split, and the node's winner is the first interval, in
+the order of the interval set, whose score is the node's maximum.  So
+results are deterministic even when sample means tie.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,21 +63,33 @@ MAX_DRAW = 2**13
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Candidate intervals (alpha_m, beta_m) within [0, n]."""
+    """Candidate intervals (alpha_m, beta_m): integers, 0 <= alpha_m < beta_m <= n,
+    none longer than ``max_len`` when it is given.  Checked once, here, into the
+    ``int64`` arrays ``alphas`` and ``betas`` (not part of equality, hash or repr)."""
 
     n: int
     intervals: tuple[tuple[int, int], ...]
     seed: int | None = None
     max_len: int | None = None
+    alphas: np.ndarray = field(init=False, repr=False, compare=False)
+    betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        for a, b in self.intervals:
-            if not 0 <= a < b <= self.n:
-                raise ValueError(f"interval ({a}, {b}) not within [0, {self.n}]")
-            if self.max_len is not None and b - a > self.max_len:
-                raise ValueError(f"interval ({a}, {b}) longer than max_len = {self.max_len}")
+        # A float endpoint gives a float array and is rejected, not truncated.
+        ends = np.array(self.intervals if len(self.intervals) else np.empty((0, 2), np.int64))
+        if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+            raise ValueError(f"intervals must be integer pairs, got {ends.dtype} of shape {ends.shape}")
+        alphas, betas = ends.T
+        cap = self.n if self.max_len is None else self.max_len
+        for bad, why in (((alphas < 0) | (alphas >= betas) | (betas > self.n), f"not within [0, {self.n}]"),
+                         (betas - alphas > cap, f"longer than max_len = {self.max_len}")):
+            if bad.any():
+                a, b = self.intervals[int(np.argmax(bad))]
+                raise ValueError(f"interval ({a}, {b}) {why}")
+        object.__setattr__(self, "alphas", alphas.astype(np.int64))
+        object.__setattr__(self, "betas", betas.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -147,10 +155,18 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     return IntervalSet(n=n, intervals=intervals, seed=seed, max_len=max_len)
 
 
-def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, method: str) -> DetectionResult:
+def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:
+    """The recursion of both detectors.  Rejects a ``y`` that is not finite
+    or not of shape ``(ivals.n,)``, and a ``tau`` that is not positive and finite."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (ivals.n,):
+        raise ValueError(f"observations must have shape ({ivals.n},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     prefix = scan_prefix(y)
-    alphas = np.array([a for a, _ in intervals], dtype=np.int64)
-    betas = np.array([b for _, b in intervals], dtype=np.int64)
+    alphas, betas = ivals.alphas, ivals.betas
     # Per interval id: the clip (lo, hi) scored last, its first best split
     # and its score.  lo = -1 marks an interval never scored.
     cached_lo = np.full(alphas.size, -1, dtype=np.int64)
@@ -176,24 +192,19 @@ def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, m
             # Windows first..last-1 hold at most PASS_POINTS splits, or are one window.
             last = max(first + 1, int(np.searchsorted(ends, done + PASS_POINTS, side="right")))
             if last - first == 1:
-                # Every bs node, an interval over the budget, or a node's last
-                # stale interval alone; perfbench traces the one-window scan by this name.
+                # perfbench traces the one-window kernel entry by this name.
                 values = _scan_values(prefix, int(slo[first]), int(shi[first]))
-                np.abs(values, out=values)
-                k = int(np.argmax(values))
-                split[ids[first]] = slo[first] + 1 + k
-                score[ids[first]] = values[k]
             else:
                 values = scan_windows(prefix, slo[first:last], shi[first:last])
-                np.abs(values, out=values)
-                starts = ends[first:last] - counts[first:last] - done
-                top = np.maximum.reduceat(values, starts)
-                # The first position at or after each window's start that
-                # reaches its maximum lies inside that window.
-                hits = np.flatnonzero(values == np.repeat(top, counts[first:last]))
-                k = hits[np.searchsorted(hits, starts)] - starts
-                split[ids[first:last]] = slo[first:last] + 1 + k
-                score[ids[first:last]] = top
+            np.abs(values, out=values)
+            starts = ends[first:last] - counts[first:last] - done
+            top = np.maximum.reduceat(values, starts)
+            # The first position at or after each window's start that
+            # reaches its maximum lies inside that window.
+            hits = np.flatnonzero(values == np.repeat(top, counts[first:last]))
+            k = hits[np.searchsorted(hits, starts)] - starts
+            split[ids[first:last]] = slo[first:last] + 1 + k
+            score[ids[first:last]] = top
             first, done = last, int(ends[last - 1])
         cached_lo[ids], cached_hi[ids] = slo, shi
         # The first interval, in id order, reaching the node's best score.
@@ -205,32 +216,20 @@ def _detect(y: np.ndarray, intervals: tuple[tuple[int, int], ...], tau: float, m
             stack.append((b, e))
             stack.append((s, b))
     found.sort(key=lambda d: d.b)
-    return DetectionResult(
-        change_points=tuple(d.b for d in found),
-        method=method,
-        tau=float(tau),
-        per_cp_diagnostics=tuple(found),
-    )
+    return DetectionResult(tuple(d.b for d in found), method, float(tau), tuple(found))
 
 
 def wbs_detect(y: np.ndarray, intervals: IntervalSet, tau: float) -> DetectionResult:
-    """Run the randomized-interval recursion on ``y`` with threshold ``tau``."""
-    y = np.asarray(y, dtype=np.float64)
-    if intervals.n != y.size:
-        raise ValueError(f"interval set is over n = {intervals.n}, data has length {y.size}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return _detect(y, intervals.intervals, tau, method="wbs")
+    """Wild binary segmentation of ``y``, of length ``intervals.n``, with threshold ``tau``."""
+    return _detect(y, intervals, tau, method="wbs")
 
 
 def bs_detect(y: np.ndarray, tau: float) -> DetectionResult:
-    """Plain binary segmentation: the single interval (0, n) at every level."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size < 2:
-        raise ValueError(f"need at least 2 observations, got {y.size}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return _detect(y, ((0, int(y.size)),), tau, method="bs")
+    """Plain binary segmentation: :func:`wbs_detect` over the one interval (0, n)."""
+    n = np.size(y)
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    return _detect(y, IntervalSet(n, ((0, n),)), tau, method="bs")
 
 
 DEFAULT_C_TAU = 1.5

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -262,3 +263,48 @@ def test_unwritable_output_is_output_error(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("steploc: output error: ")
+
+
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_rejects_infinite_tau(tmp_path, capsys, method):
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v}\n" for v in [0.0] * 20 + [3.0] * 20))
+    assert main(["detect", str(path), "--method", method, "--tau", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau must be positive and finite" in captured.err
+
+
+_BOM_SERIES = "5\n0\n0\n0\n3\n3\n3\n"
+
+
+@pytest.mark.parametrize("header", ["", "y\n"], ids=["no-header", "header"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_detect_drops_a_leading_byte_order_mark(tmp_path, capsys, monkeypatch, header, source):
+    docs = []
+    for text in (header + _BOM_SERIES, "\ufeff" + header + _BOM_SERIES):
+        if source == "file":
+            path = tmp_path / "y.txt"
+            path.write_bytes(text.encode("utf-8"))
+            arg = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            arg = "-"
+        assert main(["detect", arg, "--method", "l0", "--lambda", "1"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert docs[1]["n"] == 7
+    assert docs[1]["change_points"] == [1, 4]
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_rejected(capsys, command, jobs):
+    argv = {
+        "rate": ["rate", "--n", "100", "--k", "1", "--kappa", "2", "--sigma", "1"],
+        "sweep": ["sweep", "--n", "100", "--k", "1", "--sigma", "1", "--snr-grid", "2"],
+    }[command]
+    assert main([*argv, "--method", "l0", "--reps", "2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jobs must be at least 1" in captured.err

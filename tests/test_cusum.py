@@ -222,3 +222,13 @@ def test_scan_validates_finite_values():
         CusumScan(s=0, e=4, values=np.array([1.0, np.nan, 2.0]))
     with pytest.raises(ValueError):
         CusumScan(s=0, e=4, values=np.array([1.0, 2.0]))
+
+
+def test_steploc_cusum_is_the_module():
+    import types
+
+    import steploc
+    import steploc.cusum
+
+    assert isinstance(steploc.cusum, types.ModuleType)
+    assert steploc.cusum.scan_windows is scan_windows

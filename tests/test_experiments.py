@@ -223,3 +223,10 @@ def test_explicit_signal_config():
     assert row.k_correct and row.max_err == 0.0
     with pytest.raises(ValueError):
         ExperimentConfig(n=41, method="bs", sigma=0.0, base_seed=1, signal=sig, tau=0.5)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_experiment_rejects_jobs_below_one(jobs):
+    cfg = ExperimentConfig(n=100, method="l0", sigma=1.0, base_seed=0, k=1, replications=2)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(cfg, jobs=jobs)

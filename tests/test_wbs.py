@@ -407,3 +407,98 @@ def test_detect_leaves_no_reference_cycle(method):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _pinned_corpus():
+    """wbs and bs results, taus 0.3, 1 and 2, over a fixed seeded corpus:
+    tied half-integer series and Gaussian steps, with sampled intervals
+    alone or duplicated and nested, and one root of more than
+    2 * PASS_POINTS splits."""
+    rng = np.random.default_rng(20181024)
+    cases = []
+    for case in range(48):
+        n = int(rng.integers(2, 150))
+        if case % 2:
+            y = rng.integers(-3, 4, size=n) * 0.5
+        else:
+            cps = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+            y = np.repeat(rng.normal(scale=2.0, size=cps.size + 1), np.diff(np.r_[0, cps, n]))
+            y = y + rng.normal(size=n)
+        intervals = sample_intervals(n, int(rng.integers(1, 60)), int(rng.integers(2**32))).intervals
+        if case % 4 >= 2:
+            intervals = _nested_and_duplicated(intervals, n)
+        cases.append((y, IntervalSet(n, intervals)))
+    y = np.repeat([0.0, 1.5, -0.5, 1.0], [500, 400, 300, 400]) + rng.normal(size=1600)
+    big = sample_intervals(1600, 40, 77)
+    assert sum(b - a - 1 for a, b in big.intervals) > 2 * PASS_POINTS
+    cases.append((y, big))
+    return [
+        (wbs_detect(y, ivals, tau), bs_detect(y, tau))
+        for y, ivals in cases
+        for tau in (0.3, 1.0, 2.0)
+    ]
+
+
+def test_detect_outputs_are_pinned():
+    # Pins the exact splits, windows and score bits, so a change to the scan
+    # kernel's rounding fails here even though it would move the
+    # per-interval reference in step.
+    digest = hashlib.sha256(repr(_pinned_corpus()).encode()).hexdigest()
+    assert digest == "1e33c29ebb5fa3faae1a7ad2683328d1cebf3761f45e9af76f508e1960ff27ee"
+
+
+def _step_with(bad):
+    y = np.repeat([0.0, 3.0], 20)
+    y[7] = bad
+    return y
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_rejects_non_finite_observations(method, bad):
+    y = _step_with(bad)
+    with pytest.raises(ValueError, match="observations must be finite"):
+        if method == "wbs":
+            wbs_detect(y, sample_intervals(40, 30, 2), 1.0)
+        else:
+            bs_detect(y, 1.0)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_rejects_tau_that_is_not_positive_and_finite(method, tau):
+    y = _step_with(0.0)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        if method == "wbs":
+            wbs_detect(y, sample_intervals(40, 30, 2), tau)
+        else:
+            bs_detect(y, tau)
+
+
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_rejects_observations_that_are_not_one_dimensional(method):
+    y = _step_with(0.0).reshape(2, 20)
+    with pytest.raises(ValueError, match=r"observations must have shape \(40,\), got \(2, 20\)"):
+        if method == "wbs":
+            wbs_detect(y, sample_intervals(40, 30, 2), 1.0)
+        else:
+            bs_detect(y, 1.0)
+
+
+@pytest.mark.parametrize("intervals", [((0.5, 10.0),), ((0, 10), (2, 7.0)), ((0, 10, 2),), (0, 10)])
+def test_interval_set_rejects_endpoints_that_are_not_integer_pairs(intervals):
+    with pytest.raises(ValueError):
+        IntervalSet(10, intervals)
+
+
+def test_interval_set_keeps_validated_endpoint_arrays():
+    ivals = IntervalSet(10, ((np.int64(2), np.int64(9)), (0, 10)), seed=4)
+    assert ivals.intervals == ((2, 9), (0, 10))
+    assert ivals.alphas.tolist() == [2, 0] and ivals.betas.tolist() == [9, 10]
+    assert ivals.alphas.dtype == ivals.betas.dtype == np.int64
+    assert ivals == IntervalSet(10, ((2, 9), (0, 10)), seed=4)
+    assert hash(ivals) == hash(IntervalSet(10, ((2, 9), (0, 10)), seed=4))
+    assert repr(ivals) == f"IntervalSet(n=10, intervals={ivals.intervals!r}, seed=4, max_len=None)"
+    empty = IntervalSet(10, ())
+    assert empty.alphas.size == empty.betas.size == 0
+    assert wbs_detect(np.arange(10.0), empty, 1.0).change_points == ()
