@@ -47,6 +47,9 @@ __all__ = ["main", "read_series", "InputParseError"]
 
 DEFAULT_SEED = 1729
 
+# Lines converted per sweep by read_series after the first value.
+READ_CHUNK = 4096
+
 # Auto-tuned lambda/tau for exactly noiseless input (estimated sigma 0),
 # where the default formulas would give 0.
 _PARAM_FLOOR = 1e-12
@@ -70,12 +73,39 @@ def read_series(stream) -> np.ndarray:
     """Parse one numeric series: one value per line, '#' comments allowed,
     a single leading non-numeric header line is skipped.  One leading
     U+FEFF (a UTF-8 byte order mark) is dropped, so it never turns the
-    first value into a header."""
-    values: list[float] = []
-    header_allowed = True
+    first value into a header.
+
+    The line rules find the first value.  The lines after it are taken
+    ``READ_CHUNK`` at a time: when each is one finite number, ``float``
+    converts the chunk in one sweep; otherwise the line rules walk the
+    chunk, which gives the same values or reports the faulty line."""
     lines = iter(stream)
-    head = [next(lines, "").removeprefix("\ufeff")]
-    for line_no, raw in enumerate(itertools.chain(head, lines), start=1):
+    head = next(lines, "").removeprefix("\ufeff")
+    first = next(_line_values(itertools.chain([head], lines)), None)
+    if first is None:
+        raise InputParseError(0, "need at least 2 finite values, got 0")
+    line_no, value = first
+    parts = [np.array([value])]
+    while chunk := list(itertools.islice(lines, READ_CHUNK)):
+        try:
+            part = np.array(list(map(float, chunk)), dtype=np.float64)
+        except ValueError:
+            part = None
+        if part is None or not np.isfinite(part).all():
+            walk = _line_values(chunk, line_no + 1, header_allowed=False)
+            part = np.array([value for _, value in walk], dtype=np.float64)
+        parts.append(part)
+        line_no += len(chunk)
+    values = np.concatenate(parts)
+    if values.size < 2:
+        raise InputParseError(0, f"need at least 2 finite values, got {values.size}")
+    return values
+
+
+def _line_values(lines, start: int = 1, header_allowed: bool = True):
+    """(line number, value) for each value line of ``lines``, numbered from
+    ``start``; raises :class:`InputParseError` at a faulty line."""
+    for line_no, raw in enumerate(lines, start=start):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,10 +120,7 @@ def read_series(stream) -> np.ndarray:
         header_allowed = False
         if not math.isfinite(value):
             raise InputParseError(line_no, f"non-finite value: {token}")
-        values.append(value)
-    if len(values) < 2:
-        raise InputParseError(0, f"need at least 2 finite values, got {len(values)}")
-    return np.asarray(values, dtype=np.float64)
+        yield line_no, value
 
 
 def _read_input(path) -> np.ndarray:

@@ -17,10 +17,37 @@ Candidate starts are pruned as in PELT (Killick, Fearnhead & Eckley 2012).
 The SSE of a merged segment is never below the sum of its parts, so a start
 whose cost at row j exceeds best[j] + lam stays strictly worse than start j
 at every later row and is dropped.  A start whose cost ties that bound is
-kept, because it can still win the smallest-index tie-break.  The result,
-segmentation and objective alike, equals that of the unpruned O(n^2) loop;
-pruning only shortens the rows, which pays when segments are short
-relative to n.
+kept, because it can still win the smallest-index tie-break.  Pruning only
+shortens the rows, which pays when segments are short relative to n.
+
+The rows are solved a block at a time, so that each numpy call covers many
+rows.  A block of rows lo..hi-1 has two kinds of candidate starts:
+
+- *old* starts, the live starts below lo.  Their best is known, so one
+  rows x starts pass scores all of them at every row of the block, each
+  row taking its first minimum;
+- *in-block* starts lo..hi-2, whose best is what the block computes.  They
+  are scored from guesses of that best: the old-start minimum, lowered by
+  the chain in which every point of the block is its own segment.  Each
+  guess is the cost of an actual partition, summed in the recursion's
+  order, so it is never below the exact best.  A pass rescores the rows
+  after the last exact one from the current guesses and keeps the lower
+  value.  The first row it lowers was scored from exact guesses only, so
+  it is exact now; a pass that lowers nothing confirms every guess.  Only
+  passes over the small in-block triangle repeat, never the old-start pass.
+
+An in-block start wins a row only when it is strictly cheaper than the
+best old start, whose index is smaller.  Then the PELT rule, ties kept, is
+applied to every start at every row of the block.
+
+The result is exact.  At every row the candidates include every start that
+the row-by-row PELT recursion keeps and are among the starts of the full
+recursion.  Each cost is formed by the same IEEE operations in the same
+order, ``(best[i] + sse) + lam`` with ``sse`` clamped at 0, and ties go to
+the smallest index.  So the boundaries, the objective bits and ``fitted``
+equal those of the unpruned O(n^2) loop.  ``BLOCK_ROWS`` and
+``BLOCK_POINTS`` bound a block's rows and its rows x starts, and with them
+the two work buffers.
 """
 
 from __future__ import annotations
@@ -44,6 +71,11 @@ __all__ = [
     "default_lambda",
     "DEFAULT_C_LAMBDA",
 ]
+
+# A block of the dynamic program has at most BLOCK_ROWS rows, and rows x
+# live starts at most BLOCK_POINTS, but at least 2 rows (fewer only at n).
+BLOCK_ROWS = 64
+BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -128,6 +160,7 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     best = np.empty(n + 1, dtype=np.float64)
     best[0] = 0.0
     parent = np.zeros(n + 1, dtype=np.int64)
+    index = np.arange(n + 1, dtype=np.float64)
 
     # Live candidate starts, ascending, in cand[:size].  Every start but 0
     # pays lam; once start 0 is dropped, so does cand[0] (first = 0).
@@ -135,25 +168,92 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     cand[0] = 0
     size = 1
     first = 1
-    for j in range(1, n + 1):
-        i = cand[:size]
-        sse = (s2[j] - s2[i]) - (s1[j] - s1[i]) ** 2 / (j - i)
-        np.maximum(sse, 0.0, out=sse)
-        cost = best[i] + sse
-        cost[first:] += lam
-        p = cost.argmin()
-        best[j] = cost[p]
-        parent[j] = i[p]
-        bound = best[j] + lam
-        if cost.max() > bound:
-            keep = cost <= bound
+    cells = max(BLOCK_POINTS + BLOCK_ROWS * BLOCK_ROWS, 2 * (n + 2))
+    sse_buf, dev_buf = np.empty(cells), np.empty(cells)
+    lo = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo <= n:
+            # Rows lo..hi-1 score the live starts and the in-block starts
+            # lo..hi-2, which follow them in cand.
+            hi = min(n + 1, lo + max(2, min(BLOCK_ROWS, BLOCK_POINTS // size)))
+            rows = hi - lo
+            cand[size : size + rows - 1] = np.arange(lo, hi - 1)
+            starts = cand[: size + rows - 1]
+            shape = (rows, starts.size)
+            sse = sse_buf[: starts.size * rows].reshape(shape)
+            dev = dev_buf[: starts.size * rows].reshape(shape)
+            np.subtract.outer(s1[lo:hi], s1[starts], out=dev)
+            np.square(dev, out=dev)
+            # sse holds the segment lengths until dev is divided by them.
+            np.subtract.outer(index[lo:hi], index[starts], out=sse)
+            invalid = sse[1:, size:] <= 0
+            dev /= sse
+            np.subtract.outer(s2[lo:hi], s2[starts], out=sse)
+            sse -= dev
+            np.maximum(sse, 0.0, out=sse)
+
+            # In-block starts: row lo+1+c from start lo+a, for a <= c.
+            tri = sse[1:, size:].copy()
+            tri[invalid] = np.inf
+            sse[:, size:] = np.inf
+
+            # Old starts: their best is known, so one pass scores every row.
+            sse[:, :size] += best[starts[:size]]
+            sse[:, first:size] += lam
+            arg = sse.argmin(axis=1)
+            oldmin = sse[np.arange(rows), arg]
+
+            cost = np.empty_like(tri)
+            # The chain: from row r on, every point is its own segment.
+            # Summed left to right as the recursion would, it is exact
+            # wherever that is the optimum, as it is when lam is small.
+            chain = np.empty(2 * rows - 1)
+            chain[1::2] = tri.diagonal()
+            chain[2::2] = lam
+            # guess[r] is exact for r <= done.  Each pass rescores the rows
+            # after done from the current guesses; the first row it lowers
+            # was scored from exact guesses only, so done moves past it.  A
+            # pass that lowers nothing leaves every guess exact.
+            guess = oldmin.copy()
+            done = 0
+            while done < rows - 1:
+                rest = guess[done + 1 :]
+                chain[2 * done] = guess[done]
+                np.minimum(rest, np.add.accumulate(chain[2 * done :])[2::2], out=rest)
+                part = cost[done:]
+                np.add(tri[done:], guess[:-1], out=part)
+                part += lam
+                low = part.min(axis=1)
+                np.minimum(low, oldmin[done + 1 :], out=low)
+                lowered = low < rest
+                k = int(lowered.argmax())
+                if not lowered[k]:
+                    break
+                np.minimum(rest, low, out=rest)
+                done += 1 + k
+
+            best[lo:hi] = guess
+            # An in-block start wins a row only when strictly cheaper than
+            # every old start, which has a smaller index.
+            parent[lo:hi] = starts[arg]
+            if rows > 1:
+                won = guess[1:] < oldmin[1:]
+                parent[lo + 1 : hi][won] = lo + cost.argmin(axis=1)[won]
+
+            # PELT: keep the starts whose cost is within lam of best at
+            # every row of the block (ties kept).
+            bound = guess + lam
+            keep = np.empty(starts.size, dtype=bool)
+            np.all(sse[:, :size] <= bound[:, None], axis=0, out=keep[:size])
+            np.all((cost <= bound[1:, None]) | invalid, axis=0, out=keep[size:])
             if first and not keep[0]:
                 first = 0
-            kept = i[keep]
+            kept = starts[keep]
             size = kept.size
             cand[:size] = kept
-        cand[size] = j
-        size += 1
+            cand[size] = hi - 1
+            size += 1
+            lo = hi
 
     bounds = []
     j = n

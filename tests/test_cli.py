@@ -1,14 +1,19 @@
 import hashlib
 import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steploc.experiments
-from steploc.cli import main
+from steploc import cli
+from steploc.cli import InputParseError, main, read_series
 from steploc.serialize import fmt_float, json_dumps
 
 
@@ -308,3 +313,75 @@ def test_jobs_below_one_is_rejected(capsys, command, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "jobs must be at least 1" in captured.err
+
+
+def _line_parser(stream):
+    """read_series as it was before the one-sweep conversion: one line at a
+    time from the stream, every line through the same rules."""
+    values = []
+    header_allowed = True
+    lines = iter(stream)
+    head = [next(lines, "").removeprefix("\ufeff")]
+    for line_no, raw in enumerate(itertools.chain(head, lines), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        token = line.rstrip(",").strip()
+        try:
+            value = float(token)
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
+                continue
+            raise InputParseError(line_no, f"not a number: {token!r}") from None
+        header_allowed = False
+        if not math.isfinite(value):
+            raise InputParseError(line_no, f"non-finite value: {token}")
+        values.append(value)
+    if len(values) < 2:
+        raise InputParseError(0, f"need at least 2 finite values, got {len(values)}")
+    return np.asarray(values, dtype=np.float64)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+)
+# "\x0c", "\x1c" and "\x85" are whitespace to str.strip and line breaks to
+# str.splitlines, but not to a text stream.
+_DECORATED = st.tuples(
+    st.sampled_from(["", " ", "\t", "\x0c"]),
+    _NUMBER,
+    st.sampled_from(["", " ", ",", " ,", " # note", "\x85", "\x1c"]),
+).map("".join)
+_OTHER = st.sampled_from(
+    ["", "   ", "# comment", "#", "y", "value,", "nan", "inf", "-Infinity", "1e999",
+     "1.5.2", "1,2", "--1", "abc", "1_000"]
+)
+
+
+@given(
+    lines=st.lists(st.one_of(_NUMBER, _DECORATED, _NUMBER, _OTHER), max_size=30),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    final_newline=st.booleans(),
+    chunk=st.sampled_from([1, 2, 5, cli.READ_CHUNK]),
+)
+@settings(max_examples=400, deadline=None)
+def test_read_series_matches_the_line_parser(lines, newline, bom, final_newline, chunk):
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
+    data = text.encode("utf-8")
+
+    def parse(parser):
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            return parser(stream).tobytes()
+        except InputParseError as exc:
+            return str(exc), exc.line_no
+
+    saved = cli.READ_CHUNK
+    cli.READ_CHUNK = chunk
+    try:
+        assert parse(read_series) == parse(_line_parser)
+    finally:
+        cli.READ_CHUNK = saved

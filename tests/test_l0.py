@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_l0, partition_objective, sse_direct
+from steploc import l0
 from steploc.l0 import (
     L0Result,
     Segmentation,
@@ -215,6 +216,100 @@ def test_pruning_keeps_tied_start(y, boundaries):
     res = solve_l0(np.array(y, dtype=np.float64), 1.5)
     assert res.segmentation.boundaries == boundaries
     assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, 1.5)
+
+
+def _assert_matches_reference(y, lam):
+    res = solve_l0(y, lam)
+    assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, lam)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=100, max_size=400),
+    st.sampled_from([1.0, 0.5]),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_blocks_keep_ties_across_many_blocks(ints, scale, lam):
+    # Long tie-heavy series span several row blocks, so an in-block start
+    # often ties the best old start and must lose to its smaller index.
+    _assert_matches_reference(np.array(ints, dtype=np.float64) * scale, lam)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blocks_with_short_segments(seed):
+    # A change point every 5-10 points and a tiny lam make in-block starts
+    # win rows all through a block, so its first guesses are wrong.  The
+    # levels are on a quarter grid, so old and in-block starts also tie.
+    rng = np.random.default_rng(seed)
+    n = 300
+    lengths = rng.integers(5, 11, size=n // 5)
+    means = np.repeat(rng.integers(-4, 5, size=lengths.size), lengths)[:n]
+    y = np.round(means + rng.normal(size=n) * 0.3, 0) / 4
+    for lam in (1e-3, 0.05, 0.25, 1.0):
+        _assert_matches_reference(y, lam)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_lengths_around_the_block_row_cap(offset, blocks):
+    n = blocks * l0.BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    y = rng.integers(-2, 3, size=n).astype(np.float64) / 2
+    for lam in (0.1, 0.5, 1.5, 2 * math.log(n)):
+        _assert_matches_reference(y, lam)
+
+
+def test_blocks_of_one_and_two_rows(monkeypatch):
+    # A point budget of three leaves blocks of two or three rows, and of
+    # one row where a single row remains (n = 1, 41).  A huge lam prunes
+    # nothing, so the live starts grow with the row; the moderate ones
+    # prune and tie.
+    monkeypatch.setattr(l0, "BLOCK_POINTS", 3)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 40, 41):
+        y = rng.integers(-3, 4, size=n).astype(np.float64)
+        for lam in (0.5, 1.5, 1e9):
+            _assert_matches_reference(y, lam)
+
+
+@pytest.mark.parametrize("block_rows", range(2, 9))
+@pytest.mark.parametrize(
+    "y, boundaries",
+    [([0, 0, 0, 2, 1, 0], ()), ([0, 2, 2, 2, 0, 1, 2], (1,))],
+)
+def test_blocks_keep_tied_start(monkeypatch, block_rows, y, boundaries):
+    # The tied start of test_pruning_keeps_tied_start, with the block
+    # boundary at every place: a start pruned at the end of its own block
+    # on a tie would return (1, 4).
+    monkeypatch.setattr(l0, "BLOCK_ROWS", block_rows)
+    res = solve_l0(np.array(y, dtype=np.float64), 1.5)
+    assert res.segmentation.boundaries == boundaries
+    _assert_matches_reference(y, 1.5)
+
+
+class _OuterSpy:
+    """Stands in for np.subtract in solve_l0, which calls only its outer
+    form, and records the width of each call."""
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+        self.widths = []
+
+    def outer(self, a, b, **kwargs):
+        self.widths.append(np.shape(b)[-1])
+        return self.ufunc.outer(a, b, **kwargs)
+
+
+def test_pruning_keeps_blocks_narrow(monkeypatch):
+    # Every point is its own segment here, so PELT keeps about one start
+    # per block besides the block's own, and each block stays about
+    # BLOCK_ROWS starts wide.  Without pruning it would widen to n.
+    spy = _OuterSpy(np.subtract)
+    monkeypatch.setattr(np, "subtract", spy)
+    y = np.random.default_rng(11).normal(size=2000) * 10
+    res = solve_l0(y, 0.01)
+    assert len(res.segmentation.boundaries) > 1900
+    assert spy.widths and max(spy.widths) <= l0.BLOCK_ROWS + 8
 
 
 def test_deterministic():
