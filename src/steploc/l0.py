@@ -20,6 +20,35 @@ at every later row and is dropped.  A start whose cost ties that bound is
 kept, because it can still win the smallest-index tie-break.  Pruning only
 shortens the rows, which pays when segments are short relative to n.
 
+Within a long segment PELT keeps every start since its beginning.  Those
+are pruned by their segment means, as FPOP does (Maidstone, Hocking,
+Rigaill & Fearnhead 2017), used here only to decide which starts to drop.
+As a function of the last segment's mean mu, start i costs
+
+    f_i(mu) = cost_i(j) + (j - i) (mu - m_i)^2,   m_i = (s1[j] - s1[i]) / (j - i)
+
+at row j, and each later row adds the same sum of (y_t - mu)^2 to every
+start's function.  Start j enters at the constant best[j] + lam, so start
+i can only beat it at means within
+
+    r = sqrt((best[j] + lam - cost_i(j)) / (j - i))
+
+of m_i, at row j and at every later row.  Each live start keeps the
+intersection of these intervals over the rows checked so far.  When it is
+empty, every mean, its own mean at a later row included, lies outside the
+interval of some checked row j, where start j is strictly cheaper.  Its
+cost, f_i at its own mean, is then strictly above start j's cost, so it is
+never again a minimum, not even a tied one, and it is dropped.
+
+Both rules hold exactly for the stored prefix sums, and each computed cost
+is within about 20u X of its value there, with u = 2^-53 and X = n max(y^2)
++ lam.  So both compare against best + lam + 2^-44 X, five times the
+margin that the argument needs, and two intervals must miss each other by
+more than 2^-44 max|y| to count as disjoint: a start that ties or nearly
+ties is kept.  Where the rounding of the prefix
+sums exceeds lam (a small lam on series offset by 1e7) the margin keeps
+more starts, and the result stays that of the full recursion.
+
 The rows are solved a block at a time, so that each numpy call covers many
 rows.  A block of rows lo..hi-1 has two kinds of candidate starts:
 
@@ -40,9 +69,16 @@ An in-block start wins a row only when it is strictly cheaper than the
 best old start, whose index is smaller.  Then the PELT rule, ties kept, is
 applied to every start at every row of the block.
 
-The result is exact.  At every row the candidates include every start that
-the row-by-row PELT recursion keeps and are among the starts of the full
-recursion.  Each cost is formed by the same IEEE operations in the same
+The mean intervals are checked at every fourth row of a block
+(``CHECK_EVERY``), ending with its last row, for old and in-block starts
+alike, from the lengths, sums and costs the block leaves in its buffers.
+A check costs about twenty numpy calls whatever its width, so it runs only
+where it can save more: in blocks with at least as many old starts as
+rows, whose starts times the rows still to come reach ``CHECK_CELLS``.
+
+The result is exact.  At every row the candidates are among the starts of
+the full recursion and include every start whose cost is the row minimum,
+ties included.  Each cost is formed by the same IEEE operations in the same
 order, ``(best[i] + sse) + lam`` with ``sse`` clamped at 0, and ties go to
 the smallest index.  So the boundaries, the objective bits and ``fitted``
 equal those of the unpruned O(n^2) loop.  ``BLOCK_ROWS`` and
@@ -76,6 +112,10 @@ __all__ = [
 # live starts at most BLOCK_POINTS, but at least 2 rows (fewer only at n).
 BLOCK_ROWS = 64
 BLOCK_POINTS = 2**15
+# The mean intervals are checked at every CHECK_EVERY-th row of a block,
+# in blocks whose starts times the rows after them reach CHECK_CELLS.
+CHECK_EVERY = 4
+CHECK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -140,7 +180,8 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
 
     Parameters
     ----------
-    y : array of observations, length >= 1.
+    y : array of finite observations, length >= 1, whose sum of squares
+        times 2n is finite (``ValueError`` otherwise).
     lam : positive penalty per additional segment.
 
     Candidate starts are pruned without changing the result: ties are kept,
@@ -156,7 +197,11 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     if not np.all(np.isfinite(y)):
         raise ValueError("observations must be finite")
 
-    s1, s2 = segment_prefix(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = segment_prefix(y)
+    # A squared segment sum is at most n times the sum of squares.
+    if not math.isfinite(2.0 * n * float(s2[-1])):
+        raise ValueError("observations too large: their sum of squares overflows")
     best = np.empty(n + 1, dtype=np.float64)
     best[0] = 0.0
     parent = np.zeros(n + 1, dtype=np.int64)
@@ -170,6 +215,13 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     first = 1
     cells = max(BLOCK_POINTS + BLOCK_ROWS * BLOCK_ROWS, 2 * (n + 2))
     sse_buf, dev_buf = np.empty(cells), np.empty(cells)
+    # Each start's interval of minus its segment mean, and the rounding
+    # margins of the pruning rules.
+    mu_lo = np.full(n + 1, -np.inf)
+    mu_hi = np.full(n + 1, np.inf)
+    amax = float(np.max(np.abs(y)))
+    lam_tol = lam + 2.0**-44 * (n * amax * amax + lam)
+    mean_tol = 2.0**-44 * amax
     lo = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         while lo <= n:
@@ -182,10 +234,17 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
             shape = (rows, starts.size)
             sse = sse_buf[: starts.size * rows].reshape(shape)
             dev = dev_buf[: starts.size * rows].reshape(shape)
-            np.subtract.outer(s1[lo:hi], s1[starts], out=dev)
-            np.square(dev, out=dev)
             # sse holds the segment lengths until dev is divided by them.
             np.subtract.outer(index[lo:hi], index[starts], out=sse)
+            np.subtract.outer(s1[lo:hi], s1[starts], out=dev)
+            checking = size >= rows and starts.size * (n + 1 - hi) >= CHECK_CELLS
+            if checking:
+                # Minus the segment means at the check rows, and minus the
+                # inverse lengths (-inf where start = row, > 0 above it).
+                check = slice((rows - 1) % CHECK_EVERY, rows, CHECK_EVERY)
+                ninv = -1.0 / sse[check]
+                means = dev[check] * ninv
+            np.square(dev, out=dev)
             invalid = sse[1:, size:] <= 0
             dev /= sse
             np.subtract.outer(s2[lo:hi], s2[starts], out=sse)
@@ -236,16 +295,33 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
             # An in-block start wins a row only when strictly cheaper than
             # every old start, which has a smaller index.
             parent[lo:hi] = starts[arg]
-            if rows > 1:
-                won = guess[1:] < oldmin[1:]
+            won = guess[1:] < oldmin[1:]
+            if won.any():
                 parent[lo + 1 : hi][won] = lo + cost.argmin(axis=1)[won]
 
-            # PELT: keep the starts whose cost is within lam of best at
-            # every row of the block (ties kept).
-            bound = guess + lam
+            # PELT: keep the starts whose cost is within lam of best, plus
+            # the margin, at every row of the block (ties kept).
+            bound = guess + lam_tol
             keep = np.empty(starts.size, dtype=bool)
             np.all(sse[:, :size] <= bound[:, None], axis=0, out=keep[:size])
             np.all((cost <= bound[1:, None]) | invalid, axis=0, out=keep[size:])
+
+            if checking:
+                # Intersect each start's interval of minus its mean with
+                # means -/+ radius.  Rows where the start is not yet a
+                # candidate give an infinite radius or nan, which fmax and
+                # fmin pass over; every start is a candidate at the last row.
+                sse[1:, size:] = cost
+                radius = sse[check] - bound[check, None]
+                radius *= ninv
+                np.sqrt(radius, out=radius)
+                lo_s = mu_lo[starts]
+                hi_s = mu_hi[starts]
+                np.fmax(lo_s, np.fmax.reduce(means - radius), out=lo_s)
+                np.fmin(hi_s, np.fmin.reduce(means + radius), out=hi_s)
+                mu_lo[starts] = lo_s
+                mu_hi[starts] = hi_s
+                keep &= lo_s <= hi_s + mean_tol
             if first and not keep[0]:
                 first = 0
             kept = starts[keep]
@@ -265,9 +341,9 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     bounds.reverse()
     seg = Segmentation(n=n, boundaries=tuple(bounds))
 
-    fitted = np.empty(n, dtype=np.float64)
-    for a, b in seg.segments():
-        fitted[a - 1 : b] = (s1[b] - s1[a - 1]) / (b - a + 1)
+    edges = np.array((0,) + seg.boundaries + (n,))
+    lengths = np.diff(edges)
+    fitted = np.repeat((s1[edges[1:]] - s1[edges[:-1]]) / lengths, lengths)
 
     return L0Result(segmentation=seg, objective=float(best[n]), fitted=fitted, lam=float(lam))
 

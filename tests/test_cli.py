@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import steploc.experiments
 from steploc import cli
-from steploc.cli import InputParseError, main, read_series
+from steploc.cli import InputParseError, build_parser, main, read_series
 from steploc.serialize import fmt_float, json_dumps
 
 
@@ -313,6 +313,50 @@ def test_jobs_below_one_is_rejected(capsys, command, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "jobs must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--lambda", "1"]])
+def test_detect_rejects_observations_whose_squares_overflow(tmp_path, extra):
+    path = tmp_path / "big.txt"
+    path.write_text("0\n0\n0\n1e200\n1e200\n1e200\n")
+    proc = run_cli("detect", str(path), "--method", "l0", *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "steploc: error: observations too large: their sum of squares overflows\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # Consecutive in-process calls share one parser and give the bytes a
+    # fresh parser gives: a detection, a usage error, then a rate check.
+    path = tmp_path / "y.txt"
+    rng = np.random.default_rng(5)
+    path.write_text("".join(f"{v:.17g}\n" for v in rng.normal(size=200) + np.repeat([0.0, 3.0], 100)))
+    calls = [
+        ["detect", str(path), "--method", "l0"],
+        ["detect", str(path), "--method", "nope"],
+        ["rate", "--n", "120", "--k", "1", "--kappa", "2", "--sigma", "1", "--method", "l0",
+         "--reps", "3", "--seed", "9"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls + calls] == fresh + fresh
+    assert built == [1]
 
 
 def _line_parser(stream):

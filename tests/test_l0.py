@@ -312,6 +312,117 @@ def test_pruning_keeps_blocks_narrow(monkeypatch):
     assert spy.widths and max(spy.widths) <= l0.BLOCK_ROWS + 8
 
 
+def _interval_corpus(rng, count):
+    """Tied, quantized, offset and heavy-tailed series, lam from 1e-3 to 1e9."""
+    for c in range(count):
+        n = int(rng.integers(2, 500))
+        kind = c % 4
+        if kind == 0:
+            y = rng.integers(-3, 4, size=n) * rng.choice([1.0, 0.5])
+        elif kind == 3:
+            y = rng.standard_t(2, size=n) * 10 ** rng.uniform(-3, 3)
+        else:
+            cps = np.sort(rng.integers(0, n, size=int(rng.integers(0, 12))))
+            mean = np.zeros(n)
+            for cp in cps:
+                mean[cp:] += rng.normal() * 3
+            y = np.round((mean + rng.normal(size=n)) * 4) / 4
+            if kind == 2:
+                y += rng.choice([1e3, -1e6, 1e6])
+        yield y, float(10 ** rng.uniform(-3, 9))
+
+
+@pytest.mark.parametrize("check_every", [1, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_interval_pruning_is_exact(monkeypatch, seed, check_every):
+    # The mean intervals are checked in every block that has as many old
+    # starts as rows, and block edges fall everywhere; boundaries and
+    # objective bits must stay those of the unpruned recursion.
+    monkeypatch.setattr(l0, "CHECK_CELLS", 0)
+    monkeypatch.setattr(l0, "CHECK_EVERY", check_every)
+    rng = np.random.default_rng(seed)
+    for c, (y, lam) in enumerate(_interval_corpus(rng, 30)):
+        rows, points = [(64, 2**15), (int(rng.integers(2, 70)), 2**15),
+                        (int(rng.integers(2, 9)), int(rng.integers(1, 64)))][c % 3]
+        monkeypatch.setattr(l0, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(l0, "BLOCK_POINTS", points)
+        _assert_matches_reference(y, lam)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruning_is_exact_under_a_large_offset(seed):
+    # Around 1e7 the prefix sums round by more than a small lam, so a start
+    # whose cost exceeds best + lam by less than that can still be the
+    # minimizer at a later row.  Dropping such starts returned other
+    # boundaries and objectives than the full recursion on these series.
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        n = int(rng.integers(20, 300))
+        cps = np.sort(rng.integers(0, n, size=int(rng.integers(0, 30))))
+        mean = np.zeros(n)
+        for cp in cps:
+            mean[cp:] += rng.normal() * 2
+        y = np.round((mean + rng.normal(size=n)) * 4) / 4 + 1e7
+        _assert_matches_reference(y, float(10 ** rng.uniform(-3, 0)))
+
+
+def test_pruning_is_exact_on_a_constant_far_from_zero():
+    # Every cost here is rounding error of about 1e286; dropping starts
+    # whose rounded cost exceeded best + lam returned (64, 71).
+    y = np.full(100, 1e150)
+    assert solve_l0(y, 1.0).segmentation.boundaries == ()
+    _assert_matches_reference(y, 1.0)
+
+
+def test_interval_pruning_keeps_tied_start(monkeypatch):
+    # The tied starts of test_pruning_keeps_tied_start, with the mean
+    # intervals checked at every row of every block.
+    monkeypatch.setattr(l0, "CHECK_CELLS", 0)
+    monkeypatch.setattr(l0, "CHECK_EVERY", 1)
+    for block_rows in range(2, 9):
+        monkeypatch.setattr(l0, "BLOCK_ROWS", block_rows)
+        for y, boundaries in [([0, 0, 0, 2, 1, 0], ()), ([0, 2, 2, 2, 0, 1, 2], (1,))]:
+            assert solve_l0(np.array(y, dtype=np.float64), 1.5).segmentation.boundaries == boundaries
+            _assert_matches_reference(y, 1.5)
+
+
+def test_interval_pruning_keeps_blocks_narrow(monkeypatch):
+    # Three change points in 4000 points: PELT keeps every start since the
+    # last change point, so its blocks grow past 1000 starts.  The mean
+    # intervals drop most starts inside a segment.
+    spy = _OuterSpy(np.subtract)
+    monkeypatch.setattr(np, "subtract", spy)
+    rng = np.random.default_rng(0)
+    y = np.repeat([0.0, 2.0, 0.0, 2.0], 1000) + rng.normal(size=4000)
+    res = solve_l0(y, 2 * math.log(4000))
+    assert res.segmentation.boundaries == (1000, 2000, 3000)
+    assert spy.widths and max(spy.widths) <= 500
+
+
+def test_rejects_observations_whose_squares_overflow():
+    with pytest.raises(ValueError, match="sum of squares overflows"):
+        solve_l0(np.array([0, 0, 0, 1e200, 1e200, 1e200]), 1.0)
+    # Each square is finite here, but a squared segment sum is not.
+    with pytest.raises(ValueError, match="sum of squares overflows"):
+        solve_l0(np.full(100, 1.3e153), 1.0)
+
+
+def test_fitted_matches_the_segment_loop():
+    # Segments of 3 to 9 points, so that the means divide by lengths that
+    # are not powers of two, and one long segment.
+    rng = np.random.default_rng(17)
+    lengths = rng.integers(3, 10, size=150)
+    levels = np.repeat(rng.normal(size=150) * 10, lengths)
+    y = np.concatenate([levels + rng.normal(size=levels.size) * 0.01, np.full(300, 0.1)])
+    res = solve_l0(y, 0.01)
+    assert len(res.segmentation.boundaries) > 140
+    s1 = segment_prefix(y).s1
+    loop = np.empty(y.size)
+    for a, b in res.segmentation.segments():
+        loop[a - 1 : b] = (s1[b] - s1[a - 1]) / (b - a + 1)
+    assert res.fitted.tobytes() == loop.tobytes()
+
+
 def test_deterministic():
     rng = np.random.default_rng(2)
     y = rng.normal(size=64)
