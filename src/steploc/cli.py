@@ -22,27 +22,25 @@ import sys
 import numpy as np
 
 from steploc.experiments import (
+    METHODS,
     ExperimentConfig,
     build_signal,
+    detect,
     rate_check,
     run_experiment,
     summarize,
     sweep_snr,
     write_csv,
 )
-from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
+from steploc.l0 import DEFAULT_C_LAMBDA
 from steploc.metrics import estimate_sigma
-from steploc.noise import NoiseSpec, sample, subseed
+from steploc.noise import FAMILIES, NoiseSpec, sample, subseed
 from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
-from steploc.wbs import (
-    DEFAULT_C_TAU,
-    bs_detect,
-    default_tau,
-    min_intervals,
-    sample_intervals,
-    wbs_detect,
-)
+from steploc.wbs import DEFAULT_C_TAU
+
+# Unused here, but perfbench/tracing.py wraps these names in this module (ROADMAP item 3).
+from steploc.experiments import bs_detect, sample_intervals, solve_l0, wbs_detect  # noqa: F401
 
 __all__ = ["main", "read_series", "InputParseError"]
 
@@ -51,8 +49,8 @@ DEFAULT_SEED = 1729
 # Lines converted per sweep by read_series after the first value.
 READ_CHUNK = 4096
 
-# Auto-tuned lambda/tau for exactly noiseless input (estimated sigma 0),
-# where the default formulas would give 0.
+# lambda/tau for a noise scale of 0 (exactly noiseless input), for which
+# the default formulas would give 0 and experiments.detect has no default.
 _PARAM_FLOOR = 1e-12
 
 
@@ -156,31 +154,17 @@ def _emit(text: str, path) -> None:
 
 def _cmd_detect(args) -> int:
     y = _read_input(args.input)
-
     n = int(y.size)
     sigma_hat = args.sigma if args.sigma is not None else estimate_sigma(y)
-    params: dict = {}
-
-    if args.method == "l0":
-        lam = args.lam
-        if lam is None:
-            lam = _PARAM_FLOOR if sigma_hat == 0 else default_lambda(sigma_hat, n, args.c_lambda)
-        params["lambda"] = lam
-        cps = solve_l0(y, lam).segmentation.boundaries
-    else:
-        tau = args.tau
-        if tau is None:
-            tau = _PARAM_FLOOR if sigma_hat == 0 else default_tau(sigma_hat, n, args.c_tau)
-        params["tau"] = tau
-        if args.method == "bs":
-            cps = bs_detect(y, tau).change_points
-        else:
-            delta_hint = args.delta_hint if args.delta_hint is not None else max(1, n // 10)
-            m = args.intervals if args.intervals is not None else min_intervals(n, delta_hint)
-            params.update({"intervals": m, "max_len": args.max_len, "seed": args.seed})
-            ivals = sample_intervals(n, m, args.seed, max_len=args.max_len)
-            cps = wbs_detect(y, ivals, tau).change_points
-
+    floor = _PARAM_FLOOR if sigma_hat == 0 else None
+    cps, params = detect(
+        y, args.method, sigma_hat,
+        spacing=args.delta_hint if args.delta_hint is not None else max(1, n // 10),
+        seed=args.seed,
+        lam=args.lam if args.lam is not None else floor,
+        tau=args.tau if args.tau is not None else floor,
+        c_lambda=args.c_lambda, c_tau=args.c_tau, intervals=args.intervals, max_len=args.max_len,
+    )
     doc = {
         "method": args.method,
         "n": n,
@@ -281,8 +265,21 @@ def _add_signal_params(p: argparse.ArgumentParser, need_kappa: bool) -> None:
     if need_kappa:
         p.add_argument("--kappa", type=float, default=None, help="jump size")
     p.add_argument("--sigma", type=float, required=True, help="noise scale")
-    p.add_argument("--family", choices=("gaussian", "uniform", "rademacher"),
-                   default="gaussian", help="noise family")
+    p.add_argument("--family", choices=FAMILIES, default="gaussian", help="noise family")
+
+
+def _add_harness_params(p: argparse.ArgumentParser, grid_flag: str, **grid) -> None:
+    """The options of sweep and rate, with their grid option ``grid_flag``
+    after ``--method`` (argparse lists options in the order they are added)."""
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument(grid_flag, **grid)
+    _add_method_params(p)
+    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--timing", action="store_true", help="emit wall times (not byte-reproducible)")
+    p.add_argument("--out", default=None, help="CSV path (default stdout)")
+    p.add_argument("--summary", default=None, help="write a JSON summary here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect change points in a series file")
     p.add_argument("input", help="series file, or - for stdin")
-    p.add_argument("--method", choices=("l0", "bs", "wbs"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--sigma", type=float, default=None,
                    help="noise scale; estimated from first differences when omitted")
     p.add_argument("--delta-hint", dest="delta_hint", type=int, default=None,
@@ -311,30 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="success frequency across a signal-to-noise grid")
     _add_signal_params(p, need_kappa=False)
-    p.add_argument("--method", choices=("l0", "bs", "wbs"), required=True)
-    p.add_argument("--snr-grid", dest="snr_grid", required=True,
-                   help="comma-separated snr values; jump size is rescaled per value")
-    _add_method_params(p)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true", help="emit wall times (not byte-reproducible)")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--summary", default=None, help="write a JSON summary here")
+    _add_harness_params(p, "--snr-grid", dest="snr_grid", required=True,
+                        help="comma-separated snr values; jump size is rescaled per value")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rate", help="localization error against c * sigma^2 log(n) / kappa^2")
     _add_signal_params(p, need_kappa=True)
-    p.add_argument("--method", choices=("l0", "bs", "wbs"), required=True)
-    p.add_argument("--c-eps-grid", dest="c_eps_grid", default="1,2,4,8,16",
-                   help="comma-separated error-bound multipliers")
-    _add_method_params(p)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true", help="emit wall times (not byte-reproducible)")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--summary", default=None, help="write a JSON summary here")
+    _add_harness_params(p, "--c-eps-grid", dest="c_eps_grid", default="1,2,4,8,16",
+                        help="comma-separated error-bound multipliers")
     p.set_defaults(func=_cmd_rate)
 
     return parser

@@ -41,6 +41,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRow",
     "build_signal",
+    "detect",
     "run_replication",
     "run_experiment",
     "sweep_snr",
@@ -144,40 +145,51 @@ def build_signal(cfg: ExperimentConfig) -> PiecewiseSignal:
     return make_signal(cfg.n, cps, levels)
 
 
-def _resolve_lambda(cfg: ExperimentConfig) -> float:
-    if cfg.lam is not None:
-        return cfg.lam
-    if cfg.sigma == 0:
-        raise ValueError("sigma = 0 has no default penalty; pass lam explicitly")
-    return default_lambda(cfg.sigma, cfg.n, cfg.c_lambda)
+def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, tau=None,
+           c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
+    """Change points of ``y`` by ``method``, and the parameters it ran with
+    (the ``params`` that ``steploc detect`` prints).
 
-
-def _resolve_tau(cfg: ExperimentConfig) -> float:
-    if cfg.tau is not None:
-        return cfg.tau
-    if cfg.sigma == 0:
-        raise ValueError("sigma = 0 has no default threshold; pass tau explicitly")
-    return default_tau(cfg.sigma, cfg.n, cfg.c_tau)
-
-
-def _detect(cfg: ExperimentConfig, sig: PiecewiseSignal, y: np.ndarray, rep: int):
-    if cfg.method == "l0":
-        return solve_l0(y, _resolve_lambda(cfg)).segmentation.boundaries
-    tau = _resolve_tau(cfg)
-    if cfg.method == "bs":
-        return bs_detect(y, tau).change_points
-    spacing = min_spacing(sig)
-    m = cfg.intervals if cfg.intervals is not None else min_intervals(cfg.n, spacing)
-    max_len = cfg.max_len if cfg.max_len is not None else max(2, 2 * spacing)
-    ivals = sample_intervals(cfg.n, m, subseed(cfg.base_seed, rep, 1), max_len=max_len)
-    return wbs_detect(y, ivals, tau).change_points
+    ``lam``/``tau`` default to ``c_lambda * sigma^2 log n`` and
+    ``c_tau * sigma sqrt(log n)``; with ``sigma == 0`` they must be given.
+    wbs samples ``intervals`` intervals (by default the ``min_intervals``
+    count for ``n`` and ``spacing``) of length at most ``max_len`` from
+    ``seed``.  An unknown method, or a ``sigma`` that is negative or not
+    finite, raises ``ValueError``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    n = len(y)
+    if method == "l0":
+        if lam is None:
+            if sigma == 0:
+                raise ValueError("sigma = 0 has no default penalty; pass lam explicitly")
+            lam = default_lambda(sigma, n, c_lambda)
+        return solve_l0(y, lam).segmentation.boundaries, {"lambda": lam}
+    if tau is None:
+        if sigma == 0:
+            raise ValueError("sigma = 0 has no default threshold; pass tau explicitly")
+        tau = default_tau(sigma, n, c_tau)
+    if method == "bs":
+        return bs_detect(y, tau).change_points, {"tau": tau}
+    m = intervals if intervals is not None else min_intervals(n, spacing)
+    ivals = sample_intervals(n, m, seed, max_len=max_len)
+    params = {"tau": tau, "intervals": m, "max_len": max_len, "seed": seed}
+    return wbs_detect(y, ivals, tau).change_points, params
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
     sig = build_signal(cfg)
     y = sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, rep, 0))
+    spacing = min_spacing(sig)
     start = time.perf_counter()
-    est = _detect(cfg, sig, y, rep)
+    est, _ = detect(
+        y, cfg.method, cfg.sigma, spacing=spacing, seed=subseed(cfg.base_seed, rep, 1),
+        lam=cfg.lam, tau=cfg.tau, c_lambda=cfg.c_lambda, c_tau=cfg.c_tau, intervals=cfg.intervals,
+        max_len=cfg.max_len if cfg.max_len is not None else max(2, 2 * spacing),
+    )
     ms = (time.perf_counter() - start) * 1e3
     report = localization_report(est, sig)
 

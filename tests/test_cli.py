@@ -3,8 +3,11 @@ import io
 import itertools
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,7 +283,20 @@ def test_detect_rejects_infinite_tau(tmp_path, capsys, method):
     assert "tau must be positive and finite" in captured.err
 
 
-_BOM_SERIES = "5\n0\n0\n0\n3\n3\n3\n"
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_detect_rejects_a_negative_or_non_finite_sigma(tmp_path, capsys, sigma, method, explicit):
+    path = tmp_path / "y.txt"
+    path.write_text("".join(f"{v}\n" for v in [0.0] * 20 + [3.0] * 20))
+    param = ["--lambda" if method == "l0" else "--tau", "1"] if explicit else []
+    assert main(["detect", str(path), "--method", method, "--sigma", sigma, *param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: sigma must be finite and >= 0, got {float(sigma)!r}\n"
+
+
+_BOM_SERIES ="5\n0\n0\n0\n3\n3\n3\n"
 
 
 @pytest.mark.parametrize("header", ["", "y\n"], ids=["no-header", "header"])
@@ -429,3 +445,83 @@ def test_read_series_matches_the_line_parser(lines, newline, bom, final_newline,
         assert parse(read_series) == parse(_line_parser)
     finally:
         cli.READ_CHUNK = saved
+
+
+def _pinned_calls(tmp_path):
+    """The argv lists of the pinned corpus: every detect option set on three
+    series, then sweep and rate for each method."""
+    rng = np.random.default_rng(3)
+    noisy = np.repeat([0.0, 2.5, -1.0, 1.0], [120, 90, 110, 80]) + rng.normal(size=400)
+    series = {
+        "noisy": "".join(f"{v!r}\n" for v in noisy.tolist()),
+        "zeros": "0\n" * 60,
+        "step": "0\n" * 40 + "5\n" * 40,
+    }
+    options = [
+        [],
+        ["--sigma", "0.7", "--c-lambda", "3", "--c-tau", "1.2"],
+        ["--lambda", "4", "--tau", "2.5"],
+        ["--sigma", "0"],
+        ["--intervals", "50", "--max-len", "40", "--seed", "9"],
+        ["--delta-hint", "60"],
+    ]
+    calls = []
+    for name, text in series.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for method in ("l0", "bs", "wbs"):
+            calls.extend(["detect", str(path), "--method", method, *extra] for extra in options)
+    for method in ("l0", "bs", "wbs"):
+        mc = ["--n", "200", "--k", "2", "--method", method, "--reps", "3", "--seed", "5"]
+        calls += [
+            ["sweep", *mc, "--sigma", "1", "--snr-grid", "1,4"],
+            ["sweep", *mc, "--sigma", "1", "--snr-grid", "2", "--jobs", "2",
+             "--c-tau", "2", "--intervals", "100", "--max-len", "50"],
+            ["rate", *mc, "--kappa", "2", "--sigma", "1", "--c-eps-grid", "1,4"],
+            ["rate", *mc, "--kappa", "2", "--sigma", "0"],
+            ["rate", *mc, "--kappa", "2", "--sigma", "0", "--lambda", "1", "--tau", "1"],
+        ]
+    return calls
+
+
+def test_cli_bytes_are_pinned(tmp_path, capsys):
+    # Exit code, stdout and stderr of each call, as the CLI gave them when
+    # detect and the harness each resolved their parameters on their own.
+    digest = hashlib.sha256()
+    summary = tmp_path / "summary.json"
+    for argv in _pinned_calls(tmp_path):
+        if argv[0] == "rate":
+            argv = [*argv, "--summary", str(summary)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\n{captured.err}\n".encode())
+        if argv[0] == "rate" and code == 0:
+            digest.update(summary.read_bytes())
+    assert digest.hexdigest() == "5f94cf5342e6394df8e5525f0e2e620bbe1d3b3be04079f3b388688823957539"
+
+
+def _readme_commands():
+    """The argv of each ``steploc`` line in README's sh blocks, with
+    continuations joined, output redirection dropped and each value of the
+    block's loop variables substituted."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        loops = re.findall(r"for (\w+) in ([^;]+); do", block)
+        block = block.replace("\\\n", " ").replace("> /dev/null", "")
+        for line in block.splitlines():
+            if shlex.split(line, comments=True)[:1] != ["steploc"]:
+                continue
+            for values in itertools.product(*(vals.split() for _, vals in loops)):
+                command = line
+                for (var, _), value in zip(loops, values):
+                    command = command.replace(f"${var}", value)
+                yield shlex.split(command, comments=True)[1:]
+
+
+def test_readme_examples_parse():
+    commands = list(_readme_commands())
+    assert {argv[0] for argv in commands} == {"detect", "simulate", "sweep", "rate"}
+    parser = build_parser()
+    for argv in commands:
+        assert "$" not in " ".join(argv)
+        parser.parse_args(argv)

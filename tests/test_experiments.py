@@ -9,6 +9,7 @@ from steploc.experiments import (
     ExperimentConfig,
     ExperimentRow,
     build_signal,
+    detect,
     is_success,
     rate_check,
     run_experiment,
@@ -53,6 +54,16 @@ def test_config_validation():
         run_replication(
             ExperimentConfig(n=20, method="l0", sigma=0.0, base_seed=0, k=1, kappa=1.0), 0
         )  # sigma=0 needs explicit lam
+
+
+def test_detect_checks_method_and_sigma():
+    y = np.repeat([0.0, 2.0], 20)
+    with pytest.raises(ValueError, match="unknown method 'ols'"):
+        detect(y, "ols", 1.0, spacing=20, seed=0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            detect(y, "bs", sigma, spacing=20, seed=0, tau=1.0)
+    assert detect(y, "l0", 1.0, spacing=20, seed=0, lam=1.0) == ((20,), {"lambda": 1.0})
 
 
 def test_noiseless_l0_replication_is_exact():
