@@ -81,10 +81,17 @@ def estimate_sigma(y: np.ndarray) -> float:
 
     The median of |y[i+1] - y[i]| is insensitive to a sparse set of level
     shifts; dividing by sqrt(2) * 0.6745 calibrates it to the standard
-    deviation of gaussian noise (0.6745 is the normal quartile).
+    deviation of gaussian noise (0.6745 is the normal quartile).  A
+    difference beyond the float range counts as infinite, and an estimate
+    that is not finite raises ``ValueError``.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size < 2:
         raise ValueError(f"need at least 2 observations, got {y.size}")
-    med = float(np.median(np.abs(np.diff(y))))
-    return med / (math.sqrt(2.0) * 0.6745)
+    with np.errstate(over="ignore"):
+        med = float(np.median(np.abs(np.diff(y))))
+    sigma = med / (math.sqrt(2.0) * 0.6745)
+    if not math.isfinite(sigma):
+        raise ValueError("the noise-scale estimate (median absolute first difference) overflows; "
+                         "give the scale explicitly (--sigma)")
+    return sigma

@@ -10,6 +10,12 @@ stays reachable.  Plain binary segmentation is the same recursion over the
 one-interval set ``IntervalSet(n, ((0, n),))``: both detectors run
 :func:`_detect`, which checks the arguments once.
 
+An :class:`IntervalSet` stores its endpoints as two read-only ``int64``
+arrays, and these are all the recursion reads.  :func:`sample_intervals`
+hands its draws over as arrays too, so the endpoints never pass through
+Python objects; the tuple of pairs ``intervals`` is derived only when asked
+for.
+
 The windows still to search are kept on an explicit stack.  Per interval,
 a call keeps the clip it last scored with that clip's first maximising
 split and its score, and at a node only the live intervals whose clip
@@ -33,8 +39,9 @@ results are deterministic even when sample means tie.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -61,35 +68,79 @@ PASS_POINTS = 4096
 MAX_DRAW = 2**13
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """Candidate intervals (alpha_m, beta_m): integers, 0 <= alpha_m < beta_m <= n,
-    none longer than ``max_len`` when it is given.  Checked once, here, into the
-    ``int64`` arrays ``alphas`` and ``betas`` (not part of equality, hash or repr)."""
+    none longer than ``max_len`` when it is given.
 
-    n: int
-    intervals: tuple[tuple[int, int], ...]
-    seed: int | None = None
-    max_len: int | None = None
-    alphas: np.ndarray = field(init=False, repr=False, compare=False)
-    betas: np.ndarray = field(init=False, repr=False, compare=False)
+    The endpoints are stored as the read-only ``int64`` arrays ``alphas`` and
+    ``betas``, checked once, here.  Build a set from pairs,
+    ``IntervalSet(n, ((a, b), ...))``, or from two arrays with
+    :meth:`from_arrays`; both run the same checks.  The tuple of pairs
+    ``intervals`` is derived from the arrays when first asked for.  Equality,
+    hash and repr are those of the fields ``(n, intervals, seed, max_len)``.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+    def __init__(self, n: int, intervals, seed: int | None = None, max_len: int | None = None):
         # A float endpoint gives a float array and is rejected, not truncated.
-        ends = np.array(self.intervals if len(self.intervals) else np.empty((0, 2), np.int64))
+        ends = np.array(intervals if len(intervals) else np.empty((0, 2), np.int64))
         if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise ValueError(f"intervals must be integer pairs, got {ends.dtype} of shape {ends.shape}")
-        alphas, betas = ends.T
-        cap = self.n if self.max_len is None else self.max_len
-        for bad, why in (((alphas < 0) | (alphas >= betas) | (betas > self.n), f"not within [0, {self.n}]"),
-                         (betas - alphas > cap, f"longer than max_len = {self.max_len}")):
+        self._store(n, ends[:, 0], ends[:, 1], seed, max_len)
+
+    @classmethod
+    def from_arrays(cls, n: int, alphas, betas, seed: int | None = None,
+                    max_len: int | None = None) -> IntervalSet:
+        """The intervals ``(alphas[m], betas[m])``, from two integer arrays of one length."""
+        alphas, betas = np.asarray(alphas), np.asarray(betas)
+        integer = alphas.dtype.kind in "iu" and betas.dtype.kind in "iu"
+        if not integer or alphas.ndim != 1 or alphas.shape != betas.shape:
+            raise ValueError(f"alphas and betas must be integer arrays of one length, got "
+                             f"{alphas.dtype} {alphas.shape} and {betas.dtype} {betas.shape}")
+        ivals = cls.__new__(cls)
+        ivals._store(n, alphas, betas, seed, max_len)
+        return ivals
+
+    def _store(self, n, alphas: np.ndarray, betas: np.ndarray, seed, max_len) -> None:
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        # Copies that this set owns; an endpoint of 2**63 or more wraps
+        # negative and fails the range check below.
+        alphas, betas = alphas.astype(np.int64), betas.astype(np.int64)
+        cap = n if max_len is None else max_len
+        for bad, why in (((alphas < 0) | (alphas >= betas) | (betas > n), f"not within [0, {n}]"),
+                         (betas - alphas > cap, f"longer than max_len = {max_len}")):
             if bad.any():
-                a, b = self.intervals[int(np.argmax(bad))]
-                raise ValueError(f"interval ({a}, {b}) {why}")
-        object.__setattr__(self, "alphas", alphas.astype(np.int64))
-        object.__setattr__(self, "betas", betas.astype(np.int64))
+                i = int(np.argmax(bad))
+                raise ValueError(f"interval ({alphas[i]}, {betas[i]}) {why}")
+        alphas.flags.writeable = betas.flags.writeable = False
+        self.__dict__.update(n=n, alphas=alphas, betas=betas, seed=seed, max_len=max_len)
+
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """The pairs ``((alpha_m, beta_m), ...)`` as Python ints, derived once from the arrays."""
+        return tuple(zip(self.alphas.tolist(), self.betas.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.seed, self.max_len) == (other.n, other.seed, other.max_len) and (
+            np.array_equal(self.alphas, other.alphas) and np.array_equal(self.betas, other.betas))
+
+    def __hash__(self):
+        return hash((self.n, self.intervals, self.seed, self.max_len))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(n={self.n!r}, intervals={self.intervals!r}, "
+                f"seed={self.seed!r}, max_len={self.max_len!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_arrays, (self.n, self.alphas, self.betas, self.seed, self.max_len)
 
 
 @dataclass(frozen=True)
@@ -127,6 +178,11 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     acceptance rate seen so far says is missing, plus a margin, and none
     for more than ``MAX_DRAW`` pairs, which bounds the memory of a call
     whose ``max_len`` is tiny against ``n``.
+
+    A pair is admissible when ``b - a - 2``, read as an unsigned integer, is
+    at most ``max_len - 2``: one comparison, which a length below 2 fails by
+    wrapping around.  The kept ends stay ``int64`` arrays and become the
+    set's ``alphas`` and ``betas`` through :meth:`IntervalSet.from_arrays`.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
@@ -134,9 +190,11 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if max_len is not None and max_len < 2:
         raise ValueError(f"max_len must be at least 2, got {max_len!r}")
-    cap = n if max_len is None else max_len
+    # Every drawn length b - a is at most n, so a max_len above n admits as n does.
+    cap = n if max_len is None else min(max_len, n)
     rng = generator(seed)
-    blocks: list[np.ndarray] = []
+    alphas: list[np.ndarray] = []
+    betas: list[np.ndarray] = []
     got = drawn = 0
     while got < m:
         if drawn == 0:
@@ -145,14 +203,18 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
             chunk = int(1.25 * (m - got) * drawn / max(got, 1)) + 64
         chunk = min(chunk, MAX_DRAW)
         pairs = rng.integers(0, n + 1, size=(chunk, 2))
-        gaps = pairs[:, 1] - pairs[:, 0]
-        kept = pairs[(gaps >= 2) & (gaps <= cap)][: m - got]
-        blocks.append(kept)
-        got += len(kept)
+        a, b = pairs[:, 0], pairs[:, 1]
+        # 2 <= b - a <= cap as one unsigned test: a length below 2 makes
+        # b - a - 2 negative, which wraps above any cap.
+        excess = b - a
+        excess -= 2
+        kept = np.flatnonzero(excess.view(np.uint64) <= cap - 2)[: m - got]
+        alphas.append(a[kept])
+        betas.append(b[kept])
+        got += kept.size
         drawn += chunk
-    pairs = np.concatenate(blocks)
-    intervals = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-    return IntervalSet(n=n, intervals=intervals, seed=seed, max_len=max_len)
+    return IntervalSet.from_arrays(n, np.concatenate(alphas), np.concatenate(betas),
+                                   seed=seed, max_len=max_len)
 
 
 def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:

@@ -525,3 +525,27 @@ def test_readme_examples_parse():
     for argv in commands:
         assert "$" not in " ".join(argv)
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_rejects_a_noise_scale_estimate_that_overflows(tmp_path, method):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e308\n-1e308\n" * 20)
+    proc = run_cli("detect", str(path), "--method", method)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("steploc: error: the noise-scale estimate")
+    assert "--sigma" in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["bs", "wbs"])
+def test_detect_keeps_overflow_warnings_off_stderr(tmp_path, method):
+    # One difference overflows; the median, and so sigma_hat, stays finite.
+    values = np.random.default_rng(1).normal(size=40)
+    values[20:22] = 1e308, -1e308
+    path = tmp_path / "pair.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    proc = run_cli("detect", str(path), "--method", method)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert math.isfinite(json.loads(proc.stdout)["sigma_hat"])

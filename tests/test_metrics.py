@@ -108,3 +108,8 @@ def test_estimate_sigma_robust_to_level_shifts():
 def test_estimate_sigma_needs_two_points():
     with pytest.raises(ValueError):
         estimate_sigma(np.array([1.0]))
+
+
+def test_estimate_sigma_rejects_an_overflowing_estimate():
+    with pytest.raises(ValueError, match="noise-scale estimate"):
+        estimate_sigma(np.array([1e308, -1e308] * 10))

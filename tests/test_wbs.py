@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -502,3 +503,53 @@ def test_interval_set_keeps_validated_endpoint_arrays():
     empty = IntervalSet(10, ())
     assert empty.alphas.size == empty.betas.size == 0
     assert wbs_detect(np.arange(10.0), empty, 1.0).change_points == ()
+
+
+def test_default_cli_wbs_stream_is_pinned():
+    # The intervals of a default `steploc detect --method wbs` at n = 1e5:
+    # min_intervals(100000, 10000) = 3685 and the CLI's default seed.
+    intervals = sample_intervals(100_000, 3685, 1729).intervals
+    assert hashlib.sha256(repr(intervals).encode()).hexdigest() == (
+        "aa7ef89e83ee1ee193ea313da3b8570a911f8861758f954927d1db81d356c90e"
+    )
+
+
+@pytest.mark.parametrize("args, max_len", [((2, 3, 99), None), ((1024, 2048, 7), 16), ((2000, 355, 43), 10**6)])
+def test_sampled_set_equals_the_set_of_its_pairs(args, max_len):
+    s = sample_intervals(*args, max_len=max_len)
+    pairs = IntervalSet(s.n, s.intervals, seed=s.seed, max_len=s.max_len)
+    assert s == pairs and hash(s) == hash(pairs) and repr(s) == repr(pairs)
+    assert s != IntervalSet(s.n, s.intervals[:-1], seed=s.seed, max_len=s.max_len)
+    assert s.alphas.dtype == s.betas.dtype == np.int64
+
+
+def test_interval_set_is_read_only():
+    for ivals in (sample_intervals(40, 30, 2), IntervalSet(10, ((2, 9), (0, 10)))):
+        before = (ivals.intervals, hash(ivals))
+        for ends in (ivals.alphas, ivals.betas):
+            with pytest.raises(ValueError, match="read-only"):
+                ends[0] = 7
+        with pytest.raises(AttributeError):
+            ivals.alphas = np.zeros(ivals.alphas.size, dtype=np.int64)
+        assert (ivals.intervals, hash(ivals)) == before
+
+
+def test_interval_set_from_arrays_runs_the_pair_checks():
+    alphas, betas = np.array([2, 0]), np.array([9, 10])
+    ivals = IntervalSet.from_arrays(10, alphas, betas, seed=4)
+    assert ivals == IntervalSet(10, ((2, 9), (0, 10)), seed=4)
+    alphas[0] = 3  # the set keeps its own copy
+    assert ivals.intervals == ((2, 9), (0, 10))
+    assert IntervalSet.from_arrays(10, alphas[:0], betas[:0]).intervals == ()
+    for a, b, max_len in [([0], [11], None), ([5], [5], None), ([-1], [4], None), ([0], [9], 5),
+                          ([0.0], [9.0], None), ([0, 1], [9], None), ([[0]], [[9]], None),
+                          (np.array([2**63], np.uint64), [4], None)]:
+        with pytest.raises(ValueError):
+            IntervalSet.from_arrays(10, a, b, max_len=max_len)
+
+
+def test_interval_set_survives_pickling():
+    s = sample_intervals(300, 200, 17, max_len=150)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and repr(back) == repr(s)
+    assert not back.alphas.flags.writeable and not back.betas.flags.writeable
