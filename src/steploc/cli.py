@@ -25,6 +25,7 @@ from steploc.experiments import (
     METHODS,
     ExperimentConfig,
     build_signal,
+    check_rate_inputs,
     detect,
     rate_check,
     run_experiment,
@@ -39,7 +40,7 @@ from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
 from steploc.wbs import DEFAULT_C_TAU
 
-# Unused here, but perfbench/tracing.py wraps these names in this module (ROADMAP item 3).
+# Unused here, but perfbench/tracing.py wraps them in this module (ROADMAP: "One instrument").
 from steploc.experiments import bs_detect, sample_intervals, solve_l0, wbs_detect  # noqa: F401
 
 __all__ = ["main", "read_series", "InputParseError"]
@@ -233,9 +234,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_rate(args) -> int:
     cfg = _config_from(args)
     grid = _parse_grid(args.c_eps_grid)
-    # rate_check rejects this too, but only after every replication has run.
-    if build_signal(cfg).k < 1:
-        raise ValueError("rate check needs at least one change point")
+    check_rate_inputs(cfg, grid)
     rows = run_experiment(cfg, jobs=args.jobs)
     fractions = rate_check(cfg, grid, rows)
     with _output(args.out) as out:

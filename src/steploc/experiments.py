@@ -46,6 +46,7 @@ __all__ = [
     "run_experiment",
     "sweep_snr",
     "rate_check",
+    "check_rate_inputs",
     "is_success",
     "summarize",
     "write_csv",
@@ -251,10 +252,12 @@ def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) ->
         raise ValueError("snr sweep needs sigma > 0")
     if base_cfg.signal is not None:
         raise ValueError("snr sweep rescales the parametric signal; pass n/k/delta, not a signal")
+    snr_grid = list(snr_grid)
+    for value in snr_grid:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"snr grid values must be positive and finite, got {value!r}")
     rows: list[ExperimentRow] = []
     for value in snr_grid:
-        if not value > 0:
-            raise ValueError(f"snr grid values must be positive, got {value!r}")
         probe = build_signal(replace(base_cfg, kappa=1.0))
         kappa = value * base_cfg.sigma / math.sqrt(min_spacing(probe))
         cfg = replace(base_cfg, kappa=kappa, replications=reps)
@@ -268,10 +271,11 @@ def rate_check(cfg: ExperimentConfig, c_eps_grid, rows) -> dict[float, float]:
     ``rows`` are the replications of ``cfg``, as :func:`run_experiment`
     returns them; each change point's error is weighted by its own jump.
     Replications with the wrong change point count fail every grid value.
+    Raises ``ValueError`` as :func:`check_rate_inputs` does.
     """
+    c_eps_grid = list(c_eps_grid)
+    check_rate_inputs(cfg, c_eps_grid)
     sig = build_signal(cfg)
-    if sig.k < 1:
-        raise ValueError("rate check needs at least one change point")
     jumps = sig.jumps()
     bound_unit = cfg.sigma * cfg.sigma * math.log(cfg.n)
     norms = [
@@ -283,6 +287,17 @@ def rate_check(cfg: ExperimentConfig, c_eps_grid, rows) -> dict[float, float]:
         float(c): sum(v <= c * bound_unit for v in norms) / len(norms)
         for c in c_eps_grid
     }
+
+
+def check_rate_inputs(cfg: ExperimentConfig, c_eps_grid) -> None:
+    """Raise ``ValueError`` where :func:`rate_check` would: ``cfg`` has no
+    change point, or a multiplier is negative or not finite.  Run it before
+    the replications that ``rate_check`` scores."""
+    if build_signal(cfg).k < 1:
+        raise ValueError("rate check needs at least one change point")
+    for c in c_eps_grid:
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"c_eps grid values must be finite and >= 0, got {c!r}")
 
 
 def is_success(row: ExperimentRow, spacing: int) -> bool:

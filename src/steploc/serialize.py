@@ -8,66 +8,35 @@ for them) and as bare ``inf`` / ``nan`` tokens in CSV.
 
 from __future__ import annotations
 
+import json
 import math
 
 __all__ = ["fmt_float", "json_dumps"]
 
+# A JSON string literal (RFC 8259 §7); non-ASCII characters stay as they are.
+_quote = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
-def _encode(obj, pieces: list) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        pieces.append(_quote(obj))
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            pieces.append(fmt_float(obj))
-        else:
-            pieces.append(_quote(fmt_float(obj)))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append(_quote(str(key)))
-            pieces.append(": ")
-            _encode(value, pieces)
-        pieces.append("}")
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                pieces.append(", ")
-            _encode(value, pieces)
-        pieces.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _quote(text: str) -> str:
-    body = "".join(_ESCAPES.get(ch, ch) for ch in text)
-    return f'"{body}"'
+    return format(float(x), ".17g")
 
 
 def json_dumps(obj) -> str:
     """JSON with insertion-ordered keys and 17-significant-digit floats."""
-    pieces: list = []
-    _encode(obj, pieces)
-    return "".join(pieces)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_quote(str(k))}: {json_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(json_dumps, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")

@@ -190,6 +190,34 @@ def test_rate_without_change_points_fails_before_replicating(capsys, monkeypatch
     assert "rate check needs at least one change point" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["1,2,-1", "1,inf", "1,nan", "1,0"])
+def test_sweep_rejects_a_bad_grid_value_before_replicating(capsys, monkeypatch, grid):
+    def replicate(cfg, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(steploc.experiments, "_replicate", replicate)
+    assert main(["sweep", "--n", "200", "--k", "1", "--sigma", "1", "--method", "l0",
+                 f"--snr-grid={grid}", "--reps", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snr grid values must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["-1,2", "nan", "1,inf", "2,-inf"])
+def test_rate_rejects_a_negative_or_non_finite_multiplier_before_replicating(
+    capsys, monkeypatch, grid
+):
+    def replicate(cfg, rep):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(steploc.experiments, "_replicate", replicate)
+    assert main(["rate", "--n", "200", "--k", "1", "--kappa", "2", "--sigma", "1",
+                 "--method", "l0", f"--c-eps-grid={grid}", "--reps", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c_eps grid values must be finite and >= 0" in captured.err
+
+
 def test_detect_json_formatting(tmp_path):
     path = tmp_path / "y.txt"
     rng = np.random.default_rng(0)
@@ -215,6 +243,12 @@ def test_json_dumps_deterministic_and_valid():
     text = json_dumps(doc)
     assert text == '{"b": [1.5, "inf"], "a": {"x": null, "y": true}}'
     json.loads(text)
+
+
+def test_json_dumps_escapes_every_control_character():
+    text = "".join(map(chr, range(0x20))) + '"\\\x7f é 😀'
+    doc = {text: [text, "plain"]}
+    assert json.loads(json_dumps(doc)) == doc
 
 
 def test_main_returns_zero(tmp_path, capsys):

@@ -149,6 +149,16 @@ def test_rate_check_zero_noise_passes_everything():
     assert rate_check(cfg, [0.5, 1.0], run_experiment(cfg)) == {0.5: 1.0, 1.0: 1.0}
 
 
+@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+def test_rate_check_rejects_a_negative_or_non_finite_multiplier(c):
+    cfg = ExperimentConfig(n=200, method="l0", sigma=0.0, base_seed=1, replications=2,
+                           k=1, kappa=1.0, lam=1.0)
+    rows = run_experiment(cfg)
+    assert rate_check(cfg, [0.0, 2.0], rows) == {0.0: 1.0, 2.0: 1.0}
+    with pytest.raises(ValueError, match="c_eps grid values must be finite and >= 0"):
+        rate_check(cfg, [2.0, c], rows)
+
+
 def test_rate_check_locally_adaptive_in_jump_size():
     # The normalized error kappa^2 |err| / (sigma^2 log n) has a passing
     # threshold that does not move when kappa doubles.
