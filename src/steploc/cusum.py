@@ -14,17 +14,22 @@ with the reference to 1e-10 up to n = 1e6.
 
 Both :func:`cusum_scan` and the binary-segmentation recursion use one
 kernel, :func:`scan_windows`, which scores any number of windows
-``(lo[i], hi[i]]`` in a single ragged numpy pass.  Its output is flat:
-window 0's ``hi[0] - lo[0] - 1`` values in ascending split order, then
-window 1's, and so on.  Per-window quantities are spread over the splits
-with ``np.repeat``; a single window broadcasts them instead, so scanning
-one window of length n costs no length-n copies of its endpoints.
-``_scan_values(prefix, s, e)`` is that one-window case.
+``(lo[i], hi[i]]`` in ragged numpy passes.  Its output is flat: window 0's
+``hi[0] - lo[0] - 1`` values in ascending split order, then window 1's, and
+so on.  The kernel fills that output in slices of at most ``PASS_POINTS``
+splits, with temporaries of one slice that it allocates once per call and
+reuses, so only the returned array grows with the windows: a scan of one
+window of length n makes no length-n temporaries.  In a
+slice that meets several windows, per-window quantities are spread over the
+splits with ``np.repeat``; a slice inside one window broadcasts them as
+scalars and reads its prefix sums as a view.  ``_scan_values(prefix, s, e)``
+is the one-window case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,15 @@ __all__ = [
     "single_cp_cusum",
 ]
 
+# Splits scored per slice of a scan, and per numpy pass at one recursion
+# node of steploc.wbs: bounds the temporaries of both to a few of its size.
+PASS_POINTS = 4096
+
+# 0, 1, ..., PASS_POINTS - 1, as integers and as floats, shared by every scan.
+_STEPS = np.arange(PASS_POINTS)
+_STEPS_F = _STEPS.astype(np.float64)
+_STEPS.flags.writeable = _STEPS_F.flags.writeable = False
+
 
 def prefix_sums(y: np.ndarray) -> np.ndarray:
     """Compensated prefix sums: out[t] = y[0] + ... + y[t-1], out[0] = 0.
@@ -55,9 +69,13 @@ def prefix_sums(y: np.ndarray) -> np.ndarray:
     out = np.empty(y.size + 1, dtype=np.float64)
     out[0] = 0.0
     np.cumsum(y, out=out[1:])
-    resid = y - np.diff(out)
-    if np.any(resid):
-        out[1:] += np.cumsum(resid)
+    # The residuals y - diff(out), formed in place as -diff(out) + y (the
+    # same bits), so that a call holds at most two length-n buffers.
+    resid = np.diff(out)
+    np.negative(resid, out=resid)
+    resid += y
+    if resid.any():
+        out[1:] += resid.cumsum(out=resid)
     return out
 
 
@@ -118,31 +136,55 @@ def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     counts = hi - lo - 1
-
-    def per_split(a):
-        # A per-window quantity at each split; one window broadcasts as is.
-        return a if a.size == 1 else np.repeat(a, counts)
-
-    t = per_split(lo + 1 - (np.cumsum(counts) - counts)) + np.arange(counts.sum())
-    right = prefix[t]
-    left = right - per_split(prefix[lo])
-    np.subtract(per_split(prefix[hi]), right, out=right)
-    gap_l = np.subtract(t, per_split(lo), dtype=np.float64)
-    span = per_split((hi - lo).astype(np.float64))
-    # sqrt(gap_r / (span gap_l)) left - sqrt(gap_l / (span gap_r)) right,
-    # operation for operation, in place so that a window of length n costs
-    # a few length-n buffers; every integer here is exact in float64.
-    gap_r = span - gap_l
-    w = span * gap_l
-    np.divide(gap_r, w, out=w)
-    np.sqrt(w, out=w)
-    left *= w
-    np.multiply(span, gap_r, out=w)
-    np.divide(gap_l, w, out=w)
-    np.sqrt(w, out=w)
-    right *= w
-    left -= right
-    return left
+    ends = counts.cumsum()
+    starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    out = np.empty(total, dtype=np.float64)
+    p_lo, p_hi, span_w = prefix[lo], prefix[hi], (hi - lo).astype(np.float64)
+    size = min(total, PASS_POINTS)
+    t = np.empty(size, dtype=np.int64)
+    right, gap_l, gap_r, w = np.empty((4, size), dtype=np.float64)
+    for a in range(0, total, PASS_POINTS):
+        m = min(PASS_POINTS, total - a)
+        # Windows i0..i1-1 meet the output slice [a, a + m), with c[j]
+        # splits each.  Its position a + k holds, for window i, the split
+        # lo[i] + off[i] + k.
+        if lo.size == 1 or m == total:
+            i0, i1, c = 0, lo.size, counts
+        else:
+            i0 = int(ends.searchsorted(a, side="right"))
+            i1 = int(ends.searchsorted(a + m, side="left")) + 1
+            c = np.minimum(ends[i0:i1], a + m) - np.maximum(starts[i0:i1], a)
+        off = a + 1 - starts[i0:i1]
+        if i1 - i0 == 1:
+            # One window: per-window quantities broadcast as scalars, and
+            # its splits are consecutive, so their prefix sums are a view.
+            spread = operator.itemgetter(0)
+            j = int(lo[i0] + off[0])
+            at_t = prefix[j:j + m]
+        else:
+            spread = operator.methodcaller("repeat", c)
+            np.add(spread(lo[i0:i1] + off), _STEPS[:m], out=t[:m])
+            # Every index is in range; "clip" only spares the bounds check's buffer.
+            at_t = prefix.take(t[:m], out=right[:m], mode="clip")
+        left, rr, gl, gr, ww = out[a:a + m], right[:m], gap_l[:m], gap_r[:m], w[:m]
+        np.subtract(at_t, spread(p_lo[i0:i1]), out=left)
+        np.subtract(spread(p_hi[i0:i1]), at_t, out=rr)
+        np.add(_STEPS_F[:m], spread(off), out=gl)
+        span = spread(span_w[i0:i1])
+        # sqrt(gap_r / (span gap_l)) left - sqrt(gap_l / (span gap_r)) right,
+        # operation for operation; every integer here is exact in float64.
+        np.subtract(span, gl, out=gr)
+        np.multiply(span, gl, out=ww)
+        np.divide(gr, ww, out=ww)
+        np.sqrt(ww, out=ww)
+        left *= ww
+        np.multiply(span, gr, out=ww)
+        np.divide(gl, ww, out=ww)
+        np.sqrt(ww, out=ww)
+        rr *= ww
+        left -= rr
+    return out
 
 
 def _scan_values(prefix: np.ndarray, s: int, e: int) -> np.ndarray:

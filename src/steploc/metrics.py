@@ -18,6 +18,11 @@ __all__ = [
 ]
 
 
+# The 0.875 quantile of the standard normal, statistics.NormalDist().inv_cdf(0.875):
+# for gaussian noise, |y[i+1] - y[i]| / sqrt(2) has its 75th percentile there.
+_NORMAL_Q875 = 1.1503493803760079
+
+
 class EmptySetError(ValueError):
     """Raised when a Hausdorff distance is requested against an empty set."""
 
@@ -81,16 +86,25 @@ def estimate_sigma(y: np.ndarray) -> float:
 
     The median of |y[i+1] - y[i]| is insensitive to a sparse set of level
     shifts; dividing by sqrt(2) * 0.6745 calibrates it to the standard
-    deviation of gaussian noise (0.6745 is the normal quartile).  A
-    difference beyond the float range counts as infinite, and an estimate
-    that is not finite raises ``ValueError``.
+    deviation of gaussian noise (0.6745 is the normal quartile).  On
+    quantized data more than half of the differences can be exactly 0, and
+    the median with them; the estimate then falls back to the 75th
+    percentile of |y[i+1] - y[i]|, calibrated by sqrt(2) * Φ⁻¹(0.875).  It
+    is 0 only while at least about three quarters of the differences are
+    0, as on constant or noiseless piecewise-constant data.  A difference
+    beyond the float range counts as infinite, and an estimate that is not
+    finite raises ``ValueError``.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size < 2:
         raise ValueError(f"need at least 2 observations, got {y.size}")
-    with np.errstate(over="ignore"):
-        med = float(np.median(np.abs(np.diff(y))))
-    sigma = med / (math.sqrt(2.0) * 0.6745)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.abs(np.diff(y))
+        med = float(np.median(diffs))
+        if med == 0:
+            sigma = float(np.percentile(diffs, 75)) / (math.sqrt(2.0) * _NORMAL_Q875)
+        else:
+            sigma = med / (math.sqrt(2.0) * 0.6745)
     if not math.isfinite(sigma):
         raise ValueError("the noise-scale estimate (median absolute first difference) overflows; "
                          "give the scale explicitly (--sigma)")

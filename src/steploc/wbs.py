@@ -25,11 +25,15 @@ of the intervals that straddle the new split.
 
 The stale clips are scored by the ragged kernel
 :func:`steploc.cusum.scan_windows` in passes of at most ``PASS_POINTS``
-splits (or of one longer interval), which bounds a node's temporaries.  A
-pass of one interval, such as every pass of plain binary segmentation,
-enters the kernel through its one-window form ``_scan_values``.  Every
-pass ends the same way: ``np.maximum.reduceat`` gives each window's best
-``|value|`` and the first position reaching it gives the split.
+splits (or of one longer interval, which the kernel scores in slices of
+that size), so a node's temporaries stay bounded.  A pass of one interval,
+such as every pass of plain binary segmentation, enters the kernel through
+its one-window form ``_scan_values``.  Every pass ends the same way:
+``np.maximum.reduceat`` gives each window's best ``|value|`` and the first
+position reaching it gives the split.  A pass of several windows finds
+that position against the maxima spread over their splits; a pass of one
+window compares its values with its one maximum as is, so it makes no
+length-n copy of it.
 
 Ties are always broken toward the smallest index: each clip keeps its
 first maximising split, and the node's winner is the first interval, in
@@ -45,7 +49,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from steploc.cusum import _scan_values, scan_prefix, scan_windows
+from steploc.cusum import PASS_POINTS, _scan_values, scan_prefix, scan_windows
 from steploc.noise import generator
 
 __all__ = [
@@ -59,10 +63,6 @@ __all__ = [
     "min_intervals",
     "DEFAULT_C_TAU",
 ]
-
-# Split positions scored per numpy pass at one recursion node: bounds the
-# temporaries of a node with many long clipped intervals.
-PASS_POINTS = 4096
 
 # Endpoint pairs asked of the generator per draw in sample_intervals.
 MAX_DRAW = 2**13
@@ -248,11 +248,11 @@ def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> Detec
         stale = (lo != cached_lo[live]) | (hi != cached_hi[live])
         ids, slo, shi = live[stale], lo[stale], hi[stale]
         counts = shi - slo - 1
-        ends = np.cumsum(counts)
+        ends = counts.cumsum()
         first = done = 0
         while first < ids.size:
             # Windows first..last-1 hold at most PASS_POINTS splits, or are one window.
-            last = max(first + 1, int(np.searchsorted(ends, done + PASS_POINTS, side="right")))
+            last = max(first + 1, int(ends.searchsorted(done + PASS_POINTS, side="right")))
             if last - first == 1:
                 # perfbench traces the one-window kernel entry by this name.
                 values = _scan_values(prefix, int(slo[first]), int(shi[first]))
@@ -262,9 +262,11 @@ def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> Detec
             starts = ends[first:last] - counts[first:last] - done
             top = np.maximum.reduceat(values, starts)
             # The first position at or after each window's start that
-            # reaches its maximum lies inside that window.
-            hits = np.flatnonzero(values == np.repeat(top, counts[first:last]))
-            k = hits[np.searchsorted(hits, starts)] - starts
+            # reaches its maximum lies inside that window; one window
+            # compares against its maximum as is.
+            maxima = top if last - first == 1 else top.repeat(counts[first:last])
+            hits = (values == maxima).nonzero()[0]
+            k = hits[hits.searchsorted(starts)] - starts
             split[ids[first:last]] = slo[first:last] + 1 + k
             score[ids[first:last]] = top
             first, done = last, int(ends[last - 1])

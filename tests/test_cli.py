@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -583,3 +585,62 @@ def test_detect_keeps_overflow_warnings_off_stderr(tmp_path, method):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert math.isfinite(json.loads(proc.stdout)["sigma_hat"])
+
+
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_on_quantized_noise_keeps_a_positive_scale(tmp_path, capsys, method):
+    # More than half of the first differences are 0, so their median is 0;
+    # the scale falls back to their 75th percentile.
+    y = np.round(0.4 * np.random.default_rng(3).normal(size=1000))
+    y[500:] += 1
+    path = tmp_path / "quantized.txt"
+    path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+    assert main(["detect", str(path), "--method", method]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sigma_hat"] == pytest.approx(0.615, abs=5e-4)
+    assert doc["change_points"] == [500]
+
+
+@st.composite
+def _fuzz_series(draw):
+    """Finite series of at most 200 values: small integers, halves or
+    Gaussian floats, with a few large magnitudes (up to 1e150) mixed in."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["integers", "halves", "gaussian"]))
+    if kind == "gaussian":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        y = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=n)
+    else:
+        ints = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=np.float64)
+        y = ints if kind == "integers" else ints / 2
+    big = st.sampled_from([1e150, -1e150, 1e100, -1e40, 1e8])
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), big), max_size=3)):
+        y[i] = v
+    return y
+
+
+def _detect_bytes(path, method):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["detect", str(path), "--method", method])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+@given(y=_fuzz_series())
+@settings(max_examples=60, deadline=None)
+def test_detect_fuzz_exits_cleanly_with_sorted_in_range_output(method, y):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.txt"
+        path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+        first = _detect_bytes(path, method)
+        assert _detect_bytes(path, method) == first
+    code, out, _ = first
+    assert code in (0, 2, 3)
+    if code == 0:
+        cps = json.loads(out)["change_points"]
+        assert all(a < b for a, b in zip(cps, cps[1:]))
+        assert all(1 <= c <= y.size - 1 for c in cps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import cusum_direct
 from steploc.cusum import (
+    PASS_POINTS,
     CusumScan,
+    _scan_values,
     argmax_abs,
     contrast,
     cusum,
@@ -232,3 +235,37 @@ def test_steploc_cusum_is_the_module():
 
     assert isinstance(steploc.cusum, types.ModuleType)
     assert steploc.cusum.scan_windows is scan_windows
+
+
+@pytest.mark.parametrize("splits", [PASS_POINTS - 1, PASS_POINTS, PASS_POINTS + 1, 3 * PASS_POINTS + 7])
+def test_one_window_scan_is_exact_across_slice_boundaries(splits):
+    # A window of more than PASS_POINTS splits is scored in slices; the
+    # values must not depend on where the slices fall.
+    rng = np.random.default_rng(splits)
+    n = splits + 40
+    y = rng.normal(size=n) + np.repeat([0.0, 1.5], [n // 3, n - n // 3])
+    prefix = scan_prefix(y)
+    s, e = 17, 17 + splits + 1
+    values = _scan_values(prefix, s, e)
+    assert values.size == splits
+    reference = np.array([cusum(y, s, e, t) for t in range(s + 1, e)])
+    assert np.max(np.abs(values - reference)) <= 1e-10
+    # The same window between two others, so that it starts and ends
+    # inside a slice of a multi-window scan.
+    ragged = scan_windows(prefix, np.array([3, s, 0]), np.array([10, e, 5]))
+    assert ragged[6:6 + splits].tobytes() == values.tobytes()
+    assert ragged[:6].tobytes() == _scan_values(prefix, 3, 10).tobytes()
+    assert ragged[6 + splits:].tobytes() == _scan_values(prefix, 0, 5).tobytes()
+
+
+def test_one_window_scan_holds_no_length_n_temporaries():
+    # Besides the values it returns, a scan holds temporaries of at most a
+    # slice each, however long the window.
+    prefix = scan_prefix(np.random.default_rng(8).normal(size=200_000))
+    tracemalloc.start()
+    try:
+        values = _scan_values(prefix, 0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + 16 * PASS_POINTS * 8

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,3 +554,18 @@ def test_interval_set_survives_pickling():
     back = pickle.loads(pickle.dumps(s))
     assert back == s and repr(back) == repr(s)
     assert not back.alphas.flags.writeable and not back.betas.flags.writeable
+
+
+def test_bs_holds_few_length_n_buffers():
+    # The prefix sums and the root's scan values are length n; the scan's
+    # temporaries are of one slice each, so a call stays below four arrays.
+    n = 100_000
+    y = np.repeat([0.0, 1.0, -0.5, 0.5], n // 4) + np.random.default_rng(6).normal(size=n)
+    tracemalloc.start()
+    try:
+        res = bs_detect(y, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.change_points
+    assert peak < 4 * n * 8
