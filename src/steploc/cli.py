@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from steploc.cusum import scan_prefix
 from steploc.experiments import (
     METHODS,
     ExperimentConfig,
@@ -51,8 +52,17 @@ DEFAULT_SEED = 1729
 READ_CHUNK = 4096
 
 # lambda/tau for a noise scale of 0 (exactly noiseless input), for which
-# the default formulas would give 0 and experiments.detect has no default.
+# the default formulas would give 0 and experiments.detect has no default;
+# tau is raised above the scan's rounding error by _noiseless_tau.
 _PARAM_FLOOR = 1e-12
+
+
+def _noiseless_tau(y: np.ndarray) -> float:
+    """tau for a noise scale of 0: the floor, or the rounding error of the
+    scan if that is larger.  A scan value combines two prefix-sum
+    differences with weights <= 1, and each prefix sum is within about one
+    ulp of its largest magnitude, so scores below four ulps of it are noise."""
+    return max(_PARAM_FLOOR, 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max()))
 
 
 class InputError(Exception):
@@ -157,13 +167,16 @@ def _cmd_detect(args) -> int:
     y = _read_input(args.input)
     n = int(y.size)
     sigma_hat = args.sigma if args.sigma is not None else estimate_sigma(y)
-    floor = _PARAM_FLOOR if sigma_hat == 0 else None
+    lam, tau = args.lam, args.tau
+    if sigma_hat == 0:
+        if lam is None:
+            lam = _PARAM_FLOOR
+        if tau is None and args.method != "l0":
+            tau = _noiseless_tau(y)
     cps, params = detect(
         y, args.method, sigma_hat,
         spacing=args.delta_hint if args.delta_hint is not None else max(1, n // 10),
-        seed=args.seed,
-        lam=args.lam if args.lam is not None else floor,
-        tau=args.tau if args.tau is not None else floor,
+        seed=args.seed, lam=lam, tau=tau,
         c_lambda=args.c_lambda, c_tau=args.c_tau, intervals=args.intervals, max_len=args.max_len,
     )
     doc = {

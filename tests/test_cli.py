@@ -563,6 +563,15 @@ def test_readme_examples_parse():
         parser.parse_args(argv)
 
 
+def test_readme_python_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("LocalizationReport(")
+
+
 @pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
 def test_detect_rejects_a_noise_scale_estimate_that_overflows(tmp_path, method):
     path = tmp_path / "huge.txt"
@@ -599,6 +608,19 @@ def test_detect_on_quantized_noise_keeps_a_positive_scale(tmp_path, capsys, meth
     doc = json.loads(capsys.readouterr().out)
     assert doc["sigma_hat"] == pytest.approx(0.615, abs=5e-4)
     assert doc["change_points"] == [500]
+
+
+@pytest.mark.parametrize("method, n", [("bs", 4000), ("wbs", 2000)])
+def test_detect_noiseless_steps_keep_tau_above_the_scan_rounding(tmp_path, capsys, method, n):
+    # sigma_hat is 0.  A tau of 1e-12 lies below the rounding error of the
+    # scan on these levels, and bs/wbs then report dozens of change points.
+    y = np.repeat(np.array([0.1, 0.7, 1 / 3, 2.9]) * 10, n // 4)
+    path = tmp_path / "steps.txt"
+    path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+    assert main(["detect", str(path), "--method", method]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sigma_hat"] == 0
+    assert doc["change_points"] == [n // 4, n // 2, 3 * n // 4]
 
 
 @st.composite

@@ -1,0 +1,10 @@
+import subprocess
+import sys
+
+
+def test_import_steploc_loads_no_submodule():
+    # Each name is imported from the module that defines it, so the package
+    # itself pulls in neither its modules nor numpy.
+    code = "import steploc, sys; print(sorted(m for m in sys.modules if m.startswith(('steploc', 'numpy'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "['steploc']\n"
