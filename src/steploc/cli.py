@@ -62,7 +62,8 @@ def _noiseless_tau(y: np.ndarray) -> float:
     scan if that is larger.  A scan value combines two prefix-sum
     differences with weights <= 1, and each prefix sum is within about one
     ulp of its largest magnitude, so scores below four ulps of it are noise."""
-    return max(_PARAM_FLOOR, 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max(_PARAM_FLOOR, 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max()))
 
 
 class InputError(Exception):

@@ -1,4 +1,4 @@
-"""Weighted two-sample scan statistics over intervals.
+"""The CUSUM scan kernel: weighted two-sample statistics over windows.
 
 For data ``y`` (1-indexed here; python arrays are 0-indexed so the window
 ``(s, e]`` is the slice ``y[s:e]``) the scan value at split ``t`` is
@@ -7,13 +7,10 @@ For data ``y`` (1-indexed here; python arrays are 0-indexed so the window
         - sqrt((t-s) / ((e-s)(e-t))) * sum(y[t+1..e])
 
 which equals the inner product of the window with a unit-norm up/down
-contrast vector.  :func:`cusum` evaluates a single split directly from
-slice sums and serves as the reference; :func:`cusum_scan` computes every
-admissible split in O(e - s) from compensated prefix sums and must agree
-with the reference to 1e-10 up to n = 1e6.
+contrast vector.  Every value is taken from compensated prefix sums
+(:func:`prefix_sums`) of the globally centered data (:func:`scan_prefix`).
 
-Both :func:`cusum_scan` and the binary-segmentation recursion use one
-kernel, :func:`scan_windows`, which scores any number of windows
+One kernel, :func:`scan_windows`, scores any number of windows
 ``(lo[i], hi[i]]`` in ragged numpy passes.  Its output is flat: window 0's
 ``hi[0] - lo[0] - 1`` values in ascending split order, then window 1's, and
 so on.  The kernel fills that output in slices of at most ``PASS_POINTS``
@@ -23,28 +20,30 @@ window of length n makes no length-n temporaries.  In a
 slice that meets several windows, per-window quantities are spread over the
 splits with ``np.repeat``; a slice inside one window broadcasts them as
 scalars and reads its prefix sums as a view.  ``_scan_values(prefix, s, e)``
-is the one-window case.
+is the one-window case, which the binary-segmentation recursion in
+``steploc.wbs`` calls beside the kernel itself.
+
+The one-window API, :func:`cusum_scan` with its result :class:`CusumScan`
+and :func:`argmax_abs`, scores every admissible split of one window in
+O(e - s) through the same kernel.  The direct references it is checked
+against (the single-split statistic from slice sums, the contrast vector,
+the two-mean projection and the closed form at one change point) live in
+``tests/oracles.py``; the scan must agree with them to 1e-10 up to
+n = 1e6.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from steploc.signal import PiecewiseSignal, evaluate
-
 __all__ = [
     "CusumScan",
     "prefix_sums",
-    "cusum",
     "cusum_scan",
     "argmax_abs",
-    "contrast",
-    "project",
-    "single_cp_cusum",
 ]
 
 # Splits scored per slice of a scan, and per numpy pass at one recursion
@@ -108,20 +107,6 @@ def _check_window(n: int, s: int, e: int) -> None:
         raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
     if not 0 <= s < e <= n:
         raise ValueError(f"window ({s}, {e}] out of range for n = {n}")
-
-
-def cusum(y: np.ndarray, s: int, e: int, t: int) -> float:
-    """Scan statistic at a single split, from direct slice sums."""
-    y = np.asarray(y, dtype=np.float64)
-    _check_window(y.size, s, e)
-    if not s < t < e:
-        raise ValueError(f"split t = {t} must satisfy {s} < t < {e}")
-    left = float(np.sum(y[s:t]))
-    right = float(np.sum(y[t:e]))
-    span = e - s
-    w_left = math.sqrt((e - t) / (span * (t - s)))
-    w_right = math.sqrt((t - s) / (span * (e - t)))
-    return w_left * left - w_right * right
 
 
 def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -217,52 +202,3 @@ def argmax_abs(scan: CusumScan) -> tuple[int, float]:
     """Split with the largest absolute scan value; smallest split on ties."""
     i = int(np.argmax(np.abs(scan.values)))
     return scan.s + 1 + i, float(abs(scan.values[i]))
-
-
-def contrast(s: int, e: int, d: int) -> np.ndarray:
-    """Unit-norm up/down contrast for window (s, e] split at d (length e - s)."""
-    if not s < d < e:
-        raise ValueError(f"split d = {d} must satisfy {s} < d < {e}")
-    span = e - s
-    out = np.empty(span, dtype=np.float64)
-    out[: d - s] = math.sqrt((e - d) / (span * (d - s)))
-    out[d - s :] = -math.sqrt((d - s) / (span * (e - d)))
-    return out
-
-
-def project(x: np.ndarray, s: int, e: int, d: int) -> np.ndarray:
-    """Projection of x onto vectors constant on (s, d] and (d, e].
-
-    Replaces each half of the window with its mean; satisfies
-    ``||x - project(x)||^2 = ||x - mean(x)||^2 - <x, contrast>^2``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != e - s:
-        raise ValueError(f"x has length {x.size}, window ({s}, {e}] needs {e - s}")
-    if not s < d < e:
-        raise ValueError(f"split d = {d} must satisfy {s} < d < {e}")
-    out = np.empty_like(x)
-    out[: d - s] = np.mean(x[: d - s])
-    out[d - s :] = np.mean(x[d - s :])
-    return out
-
-
-def single_cp_cusum(sig: PiecewiseSignal, s: int, e: int) -> float:
-    """Closed-form |scan value| at the unique change point inside (s, e).
-
-    For a window holding exactly one change point ``eta`` with jump
-    ``kappa`` the scan of the mean vector peaks at ``eta`` with magnitude
-    ``sqrt((eta - s)(e - eta) / (e - s)) * kappa``; must match
-    ``|cusum(evaluate(sig), s, e, eta)|`` to 1e-10.
-    """
-    _check_window(sig.n, s, e)
-    if e - s < 2:
-        raise ValueError(f"window ({s}, {e}] is too short")
-    inside = [(i, cp) for i, cp in enumerate(sig.change_points) if s < cp < e]
-    if len(inside) != 1:
-        raise ValueError(
-            f"window ({s}, {e}) must contain exactly one change point, found {len(inside)}"
-        )
-    i, eta = inside[0]
-    kappa = abs(sig.levels[i + 1] - sig.levels[i])
-    return math.sqrt((eta - s) * (e - eta) / (e - s)) * kappa

@@ -103,7 +103,6 @@ __all__ = [
     "segment_prefix",
     "segment_cost",
     "solve_l0",
-    "recompute_objective",
     "default_lambda",
     "DEFAULT_C_LAMBDA",
 ]
@@ -346,22 +345,6 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     fitted = np.repeat((s1[edges[1:]] - s1[edges[:-1]]) / lengths, lengths)
 
     return L0Result(segmentation=seg, objective=float(best[n]), fitted=fitted, lam=float(lam))
-
-
-def recompute_objective(y: np.ndarray, seg: Segmentation, lam: float) -> float:
-    """Direct evaluation of the objective for a given partition.
-
-    Computed from slice means without prefix sums, so it stays an
-    independent check on :func:`solve_l0`.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if seg.n != y.size:
-        raise ValueError(f"segmentation is over n = {seg.n}, data has length {y.size}")
-    sse = 0.0
-    for a, b in seg.segments():
-        chunk = y[a - 1 : b]
-        sse += float(np.sum((chunk - np.mean(chunk)) ** 2))
-    return sse + lam * (seg.segment_count - 1)
 
 
 # The multiplier c of the default penalty; this value passes the acceptance suite.

@@ -218,16 +218,24 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
 
 
 def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:
-    """The recursion of both detectors.  Rejects a ``y`` that is not finite
-    or not of shape ``(ivals.n,)``, and a ``tau`` that is not positive and finite."""
+    """The recursion of both detectors.  Rejects a ``y`` that is not finite,
+    not of shape ``(ivals.n,)`` or so large that the scan's sums could
+    overflow, and a ``tau`` that is not positive and finite."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (ivals.n,):
         raise ValueError(f"observations must have shape ({ivals.n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("observations must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = scan_prefix(y)
+        # Every window sum is a difference of two prefix sums, so none is
+        # larger than their range, which is NaN or inf if any of them is;
+        # a scan value is at most sqrt(2) times the range, plus rounding.
+        bound = 1.5 * np.ptp(prefix)
+    if not np.isfinite(bound):
+        raise ValueError("observations too large: their partial sums overflow")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    prefix = scan_prefix(y)
     alphas, betas = ivals.alphas, ivals.betas
     # Per interval id: the clip (lo, hi) scored last, its first best split
     # and its score.  lo = -1 marks an interval never scored.

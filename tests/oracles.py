@@ -2,12 +2,16 @@
 
 Everything here is deliberately written with plain Python arithmetic (or
 direct slice statistics), not with the package's prefix-sum internals, so
-that a bug cannot hide on both sides of a comparison.
+that a bug cannot hide on both sides of a comparison.  No detector calls
+these references; the package scans through ``steploc.cusum`` and solves
+through ``steploc.l0.solve_l0``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def sse_direct(values) -> float:
@@ -24,6 +28,22 @@ def partition_objective(y, boundaries, lam: float) -> float:
     edges = [0, *boundaries, len(y)]
     total = math.fsum(sse_direct(y[a:b]) for a, b in zip(edges, edges[1:]))
     return total + lam * len(boundaries)
+
+
+def recompute_objective(y, seg, lam: float) -> float:
+    """Direct evaluation of the objective for a ``steploc.l0.Segmentation``.
+
+    Computed from slice means without prefix sums, so it stays an
+    independent check on ``solve_l0``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if seg.n != y.size:
+        raise ValueError(f"segmentation is over n = {seg.n}, data has length {y.size}")
+    sse = 0.0
+    for a, b in seg.segments():
+        chunk = y[a - 1 : b]
+        sse += float(np.sum((chunk - np.mean(chunk)) ** 2))
+    return sse + lam * (seg.segment_count - 1)
 
 
 def brute_force_l0(y, lam: float) -> tuple[float, tuple[int, ...]]:
@@ -100,3 +120,74 @@ def cusum_direct(y, s: int, e: int, t: int) -> float:
     return math.sqrt((e - t) / (span * (t - s))) * left - math.sqrt(
         (t - s) / (span * (e - t))
     ) * right
+
+
+def _check_window(n: int, s: int, e: int) -> None:
+    if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
+        raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
+    if not 0 <= s < e <= n:
+        raise ValueError(f"window ({s}, {e}] out of range for n = {n}")
+
+
+def cusum(y, s: int, e: int, t: int) -> float:
+    """Scan statistic at a single split, from direct slice sums."""
+    y = np.asarray(y, dtype=np.float64)
+    _check_window(y.size, s, e)
+    if not s < t < e:
+        raise ValueError(f"split t = {t} must satisfy {s} < t < {e}")
+    left = float(np.sum(y[s:t]))
+    right = float(np.sum(y[t:e]))
+    span = e - s
+    w_left = math.sqrt((e - t) / (span * (t - s)))
+    w_right = math.sqrt((t - s) / (span * (e - t)))
+    return w_left * left - w_right * right
+
+
+def contrast(s: int, e: int, d: int) -> np.ndarray:
+    """Unit-norm up/down contrast for window (s, e] split at d (length e - s)."""
+    if not s < d < e:
+        raise ValueError(f"split d = {d} must satisfy {s} < d < {e}")
+    span = e - s
+    out = np.empty(span, dtype=np.float64)
+    out[: d - s] = math.sqrt((e - d) / (span * (d - s)))
+    out[d - s :] = -math.sqrt((d - s) / (span * (e - d)))
+    return out
+
+
+def project(x, s: int, e: int, d: int) -> np.ndarray:
+    """Projection of x onto vectors constant on (s, d] and (d, e].
+
+    Replaces each half of the window with its mean; satisfies
+    ``||x - project(x)||^2 = ||x - mean(x)||^2 - <x, contrast>^2``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size != e - s:
+        raise ValueError(f"x has length {x.size}, window ({s}, {e}] needs {e - s}")
+    if not s < d < e:
+        raise ValueError(f"split d = {d} must satisfy {s} < d < {e}")
+    out = np.empty_like(x)
+    out[: d - s] = np.mean(x[: d - s])
+    out[d - s :] = np.mean(x[d - s :])
+    return out
+
+
+def single_cp_cusum(sig, s: int, e: int) -> float:
+    """Closed-form |scan value| at the unique change point inside (s, e)
+    of a ``steploc.signal.PiecewiseSignal``.
+
+    For a window holding exactly one change point ``eta`` with jump
+    ``kappa`` the scan of the mean vector peaks at ``eta`` with magnitude
+    ``sqrt((eta - s)(e - eta) / (e - s)) * kappa``; must match
+    ``|cusum(evaluate(sig), s, e, eta)|`` to 1e-10.
+    """
+    _check_window(sig.n, s, e)
+    if e - s < 2:
+        raise ValueError(f"window ({s}, {e}] is too short")
+    inside = [(i, cp) for i, cp in enumerate(sig.change_points) if s < cp < e]
+    if len(inside) != 1:
+        raise ValueError(
+            f"window ({s}, {e}) must contain exactly one change point, found {len(inside)}"
+        )
+    i, eta = inside[0]
+    kappa = abs(sig.levels[i + 1] - sig.levels[i])
+    return math.sqrt((eta - s) * (e - eta) / (e - s)) * kappa

@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_l0
-from steploc.cusum import contrast, cusum, cusum_scan, project, single_cp_cusum
+from oracles import brute_force_l0, contrast, cusum, project, single_cp_cusum
+from steploc.cusum import cusum_scan
 from steploc.experiments import ExperimentConfig, run_experiment
 from steploc.l0 import segment_cost, segment_prefix, solve_l0
 from steploc.signal import evaluate, make_signal, spike_signal, two_point_pair

@@ -377,6 +377,17 @@ def test_detect_rejects_observations_whose_squares_overflow(tmp_path, extra):
     assert proc.stderr == "steploc: error: observations too large: their sum of squares overflows\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--sigma", "1"]])
+@pytest.mark.parametrize("method", ["bs", "wbs"])
+def test_detect_rejects_observations_whose_partial_sums_overflow(tmp_path, method, extra):
+    path = tmp_path / "big.txt"
+    path.write_text("1e308\n" * 50 + "-1e308\n" * 50)
+    proc = run_cli("detect", str(path), "--method", method, *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "steploc: error: observations too large: their partial sums overflow\n"
+
+
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     # Consecutive in-process calls share one parser and give the bytes a
     # fresh parser gives: a detection, a usage error, then a rate check.

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cusum_direct
+from oracles import contrast, cusum, cusum_direct, project, single_cp_cusum
 from steploc.cusum import (
     PASS_POINTS,
     CusumScan,
     _scan_values,
     argmax_abs,
-    contrast,
-    cusum,
     cusum_scan,
     prefix_sums,
-    project,
     scan_prefix,
     scan_windows,
-    single_cp_cusum,
 )
 from steploc.signal import evaluate, make_signal
 

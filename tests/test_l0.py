@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_l0, partition_objective, sse_direct
+from oracles import brute_force_l0, partition_objective, recompute_objective, sse_direct
 from steploc import l0
 from steploc.l0 import (
     L0Result,
     Segmentation,
     default_lambda,
-    recompute_objective,
     segment_cost,
     segment_prefix,
     solve_l0,

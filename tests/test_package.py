@@ -8,3 +8,10 @@ def test_import_steploc_loads_no_submodule():
     code = "import steploc, sys; print(sorted(m for m in sys.modules if m.startswith(('steploc', 'numpy'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "['steploc']\n"
+
+
+def test_import_steploc_cusum_loads_no_other_module():
+    # The scan kernel depends on numpy alone; its references live in tests/oracles.py.
+    code = "import steploc.cusum, sys; print(sorted(m for m in sys.modules if m.startswith('steploc')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "['steploc', 'steploc.cusum']\n"

@@ -466,6 +466,21 @@ def test_detect_rejects_non_finite_observations(method, bad):
             bs_detect(y, 1.0)
 
 
+@pytest.mark.parametrize("y", [
+    [1e308] * 50 + [-1e308] * 50,  # the mean overflows
+    [1e308, -1e308, -1e308, 1e308],  # finite prefix sums, a window sum overflows
+    [1.5e308, -1.5e308],  # finite window sums, the scan value overflows
+])
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_detect_rejects_observations_whose_partial_sums_overflow(method, y):
+    y = np.array(y)
+    with pytest.raises(ValueError, match="observations too large"):
+        if method == "wbs":
+            wbs_detect(y, IntervalSet(y.size, ((0, y.size), (0, 2))), 1.0)
+        else:
+            bs_detect(y, 1.0)
+
+
 @pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
 @pytest.mark.parametrize("method", ["wbs", "bs"])
 def test_detect_rejects_tau_that_is_not_positive_and_finite(method, tau):
