@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from steploc.cusum import scan_prefix
 from steploc.experiments import (
     METHODS,
     ExperimentConfig,
@@ -52,18 +51,8 @@ DEFAULT_SEED = 1729
 READ_CHUNK = 4096
 
 # lambda/tau for a noise scale of 0 (exactly noiseless input), for which
-# the default formulas would give 0 and experiments.detect has no default;
-# tau is raised above the scan's rounding error by _noiseless_tau.
+# the default formulas would give 0; bs and wbs raise any tau to the scan's rounding floor.
 _PARAM_FLOOR = 1e-12
-
-
-def _noiseless_tau(y: np.ndarray) -> float:
-    """tau for a noise scale of 0: the floor, or the rounding error of the
-    scan if that is larger.  A scan value combines two prefix-sum
-    differences with weights <= 1, and each prefix sum is within about one
-    ulp of its largest magnitude, so scores below four ulps of it are noise."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return max(_PARAM_FLOOR, 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max()))
 
 
 class InputError(Exception):
@@ -170,10 +159,8 @@ def _cmd_detect(args) -> int:
     sigma_hat = args.sigma if args.sigma is not None else estimate_sigma(y)
     lam, tau = args.lam, args.tau
     if sigma_hat == 0:
-        if lam is None:
-            lam = _PARAM_FLOOR
-        if tau is None and args.method != "l0":
-            tau = _noiseless_tau(y)
+        lam = _PARAM_FLOOR if lam is None else lam
+        tau = _PARAM_FLOOR if tau is None else tau
     cps, params = detect(
         y, args.method, sigma_hat,
         spacing=args.delta_hint if args.delta_hint is not None else max(1, n // 10),

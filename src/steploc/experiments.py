@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ValueError(f"explicit signal has n = {self.signal.n}, config says {self.n}")
         if self.signal is None and self.k is None and self.delta is None:
             raise ValueError("need an explicit signal, or k and/or delta")
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k!r}")
+        if self.delta is not None and not 1 <= self.delta <= self.n:
+            raise ValueError(f"delta must lie in [1, {self.n}], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,8 @@ def build_signal(cfg: ExperimentConfig) -> PiecewiseSignal:
 def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, tau=None,
            c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
     """Change points of ``y`` by ``method``, and the parameters it ran with
-    (the ``params`` that ``steploc detect`` prints).
+    (the ``params`` that ``steploc detect`` prints) as its result reports
+    them, so a ``tau`` below the scan's rounding floor is printed raised.
 
     ``lam``/``tau`` default to ``c_lambda * sigma^2 log n`` and
     ``c_tau * sigma sqrt(log n)``; with ``sigma == 0`` they must be given.
@@ -168,17 +173,18 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
             if sigma == 0:
                 raise ValueError("sigma = 0 has no default penalty; pass lam explicitly")
             lam = default_lambda(sigma, n, c_lambda)
-        return solve_l0(y, lam).segmentation.boundaries, {"lambda": lam}
+        res = solve_l0(y, lam)
+        return res.segmentation.boundaries, {"lambda": res.lam}
     if tau is None:
         if sigma == 0:
             raise ValueError("sigma = 0 has no default threshold; pass tau explicitly")
         tau = default_tau(sigma, n, c_tau)
     if method == "bs":
-        return bs_detect(y, tau).change_points, {"tau": tau}
+        res = bs_detect(y, tau)
+        return res.change_points, {"tau": res.tau}
     m = intervals if intervals is not None else min_intervals(n, spacing)
-    ivals = sample_intervals(n, m, seed, max_len=max_len)
-    params = {"tau": tau, "intervals": m, "max_len": max_len, "seed": seed}
-    return wbs_detect(y, ivals, tau).change_points, params
+    res = wbs_detect(y, sample_intervals(n, m, seed, max_len=max_len), tau)
+    return res.change_points, {"tau": res.tau, "intervals": m, "max_len": max_len, "seed": seed}
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
@@ -241,6 +247,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRow]:
     return [_replicate(cfg, r) for r in reps]
 
 
+def _spacing(cfg: ExperimentConfig) -> int:
+    """Minimal spacing of the signal, which kappa (unset in snr sweeps) does not change."""
+    return min_spacing(build_signal(replace(cfg, kappa=1.0)))
+
+
 def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) -> list[ExperimentRow]:
     """Run the scenario across a grid of signal-to-noise ratios.
 
@@ -257,9 +268,9 @@ def sweep_snr(base_cfg: ExperimentConfig, snr_grid, reps: int, jobs: int = 1) ->
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"snr grid values must be positive and finite, got {value!r}")
     rows: list[ExperimentRow] = []
+    root_spacing = math.sqrt(_spacing(base_cfg))
     for value in snr_grid:
-        probe = build_signal(replace(base_cfg, kappa=1.0))
-        kappa = value * base_cfg.sigma / math.sqrt(min_spacing(probe))
+        kappa = value * base_cfg.sigma / root_spacing
         cfg = replace(base_cfg, kappa=kappa, replications=reps)
         rows.extend(run_experiment(cfg, jobs=jobs))
     return rows
@@ -314,10 +325,7 @@ def summarize(cfg: ExperimentConfig, rows: Iterable[ExperimentRow]) -> dict:
     an infinite Hausdorff marker count as failures and are excluded.
     """
     rows = list(rows)
-    # spacing does not depend on the jump size, so a placeholder kappa is
-    # fine for configs (e.g. snr sweeps) that leave it unset
-    probe = cfg if cfg.kappa is not None or cfg.signal is not None else replace(cfg, kappa=1.0)
-    spacing = min_spacing(build_signal(probe))
+    spacing = _spacing(cfg)
     successes = sum(is_success(r, spacing) for r in rows)
     errs = sorted(r.max_err for r in rows if r.k_correct)
     haus = sorted(r.hausdorff for r in rows if math.isfinite(r.hausdorff))

@@ -71,7 +71,7 @@ def sample(sig: PiecewiseSignal, spec: NoiseSpec, seed: int) -> np.ndarray:
     """Draw one observation vector y = f + eps, deterministically in ``seed``.
 
     With ``sigma == 0`` the mean vector is returned exactly (no generator
-    draw is consumed).
+    draw is consumed).  Observations that are not finite raise ``ValueError``.
     """
     f = evaluate(sig)
     if spec.sigma == 0:
@@ -81,7 +81,12 @@ def sample(sig: PiecewiseSignal, spec: NoiseSpec, seed: int) -> np.ndarray:
         eps = rng.normal(0.0, spec.sigma, size=sig.n)
     elif spec.family == "uniform":
         half = spec.sigma * math.sqrt(3.0)
-        eps = rng.uniform(-half, half, size=sig.n)
+        # numpy refuses a range 2 * half that overflows; the check below rejects it.
+        eps = rng.uniform(-half, half, size=sig.n) if math.isfinite(2 * half) else math.inf
     else:  # rademacher
         eps = spec.sigma * (2.0 * rng.integers(0, 2, size=sig.n) - 1.0)
-    return f + eps
+    with np.errstate(over="ignore"):
+        y = f + eps
+    if not np.isfinite(y).all():
+        raise ValueError(f"noise too large: sigma = {spec.sigma!r} gives non-finite observations")
+    return y

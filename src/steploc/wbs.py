@@ -8,7 +8,10 @@ recorded and the procedure continues on the children (s, b] and (b, e],
 which partition the working window, so a change point right after ``b``
 stays reachable.  Plain binary segmentation is the same recursion over the
 one-interval set ``IntervalSet(n, ((0, n),))``: both detectors run
-:func:`_detect`, which checks the arguments once.
+:func:`_detect`, which checks the arguments once and raises ``tau`` to the
+scan's rounding floor, four ulps of the largest centered prefix sum.
+Smaller scores are rounding, not signal; ``sigma sqrt(log n)`` thresholds
+fall below them as sigma -> 0.
 
 An :class:`IntervalSet` stores its endpoints as two read-only ``int64``
 arrays, and these are all the recursion reads.  :func:`sample_intervals`
@@ -156,6 +159,9 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Change points, method, the ``tau`` used (the one asked for or the
+    scan's rounding floor, whichever is larger) and per-point diagnostics."""
+
     change_points: tuple[int, ...]
     method: str
     tau: float
@@ -228,14 +234,18 @@ def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> Detec
         raise ValueError("observations must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = scan_prefix(y)
+        top, low = prefix.max(), prefix.min()
         # Every window sum is a difference of two prefix sums, so none is
         # larger than their range, which is NaN or inf if any of them is;
         # a scan value is at most sqrt(2) times the range, plus rounding.
-        bound = 1.5 * np.ptp(prefix)
+        bound = 1.5 * (top - low)
     if not np.isfinite(bound):
         raise ValueError("observations too large: their partial sums overflow")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    # A scan value combines two prefix-sum differences with weights <= 1,
+    # each within about one ulp of the largest prefix sum's magnitude.
+    tau = max(tau, 4 * 2.0**-52 * max(top, -low))
     alphas, betas = ivals.alphas, ivals.betas
     # Per interval id: the clip (lo, hi) scored last, its first best split
     # and its score.  lo = -1 marks an interval never scored.
@@ -292,7 +302,8 @@ def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> Detec
 
 
 def wbs_detect(y: np.ndarray, intervals: IntervalSet, tau: float) -> DetectionResult:
-    """Wild binary segmentation of ``y``, of length ``intervals.n``, with threshold ``tau``."""
+    """Wild binary segmentation of ``y``, of length ``intervals.n``, with threshold
+    ``tau``, or the scan's rounding floor if that is larger."""
     return _detect(y, intervals, tau, method="wbs")
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import steploc.experiments
 from steploc import cli
 from steploc.cli import InputParseError, build_parser, main, read_series
+from steploc.cusum import scan_prefix
 from steploc.serialize import fmt_float, json_dumps
 
 
@@ -632,6 +633,46 @@ def test_detect_noiseless_steps_keep_tau_above_the_scan_rounding(tmp_path, capsy
     doc = json.loads(capsys.readouterr().out)
     assert doc["sigma_hat"] == 0
     assert doc["change_points"] == [n // 4, n // 2, 3 * n // 4]
+
+
+@pytest.mark.parametrize("flags", [["--tau", "1e-13"], ["--sigma", "1e-14"]], ids=["tau", "sigma"])
+@pytest.mark.parametrize("method", ["bs", "wbs"])
+def test_detect_raises_every_tau_to_the_scan_rounding(tmp_path, capsys, method, flags):
+    # A given tau, or a default one from a tiny sigma, below the rounding
+    # error of the scan reports the floor that was used, not the one asked for.
+    y = np.repeat([1, 7, 10 / 3, 29], 1000).astype(np.float64)
+    path = tmp_path / "steps.txt"
+    path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+    assert main(["detect", str(path), "--method", method, *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["change_points"] == [1000, 2000, 3000]
+    assert doc["params"]["tau"] == 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "0"], "delta must lie in [1, 100], got 0"),
+    (["--delta", "101"], "delta must lie in [1, 100], got 101"),
+    (["--k", "-1"], "k must be >= 0, got -1"),
+], ids=["delta-0", "delta-above-n", "k-negative"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "rate"])
+def test_a_negative_count_or_a_spacing_outside_n_is_a_configuration_error(capsys, command, flags, message):
+    argv = {
+        "simulate": ["simulate", "--kappa", "1"],
+        "sweep": ["sweep", "--method", "l0", "--snr-grid", "2", "--reps", "2"],
+        "rate": ["rate", "--method", "l0", "--kappa", "1", "--reps", "2"],
+    }[command]
+    assert main([*argv, "--n", "100", "--sigma", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: {message}\n"
+
+
+def test_simulate_rejects_noise_that_overflows(capsys):
+    assert main(["simulate", "--n", "100", "--k", "1", "--kappa", "1", "--sigma", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("steploc: error: noise too large")
+    assert captured.err.count("\n") == 1
 
 
 @st.composite

@@ -93,3 +93,13 @@ def test_generator_is_counter_based():
     a = generator(42).normal(size=5)
     b = g2.normal(size=5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "rademacher"])
+def test_observations_that_overflow_are_rejected(family):
+    # Gaussian draws at this scale overflow to inf, a uniform range of
+    # 2 sqrt(3) 1e308 is refused by numpy, and level plus rademacher noise
+    # overflows in the sum; none of them may warn (warnings are errors here).
+    sig = make_signal(100, [50], [0.0, 1e308])
+    with pytest.raises(ValueError, match="noise too large"):
+        sample(sig, NoiseSpec(family, 1e308), 7)

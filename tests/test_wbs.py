@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import steploc.wbs
 from oracles import admissible_interval_mean_length
-from steploc.cusum import _scan_values, argmax_abs, cusum_scan, scan_windows
+from steploc.cusum import _scan_values, argmax_abs, cusum_scan, scan_prefix, scan_windows
 from steploc.noise import NoiseSpec, generator, sample
 from steploc.signal import evaluate, make_signal, min_spacing, spike_signal
 from steploc.wbs import (
@@ -130,6 +130,23 @@ def test_noiseless_single_step():
     d = res.per_cp_diagnostics[0]
     assert (d.s, d.e, d.b) == (0, 6, 3)
     assert d.a == pytest.approx(math.sqrt(1.5) * 2)
+
+
+@pytest.mark.parametrize("tau", [1e-12, 1e-13])
+@pytest.mark.parametrize("method", ["wbs", "bs"])
+def test_noiseless_steps_raise_tau_to_the_scan_rounding(method, tau):
+    # Below four ulps of the largest centered prefix sum (about 1.7e-11
+    # here) scan values are rounding error, and splitting on them reports
+    # dozens of spurious change points.
+    y = np.repeat([1, 7, 10 / 3, 29], 1000).astype(np.float64)
+    floor = 4 * 2.0**-52 * float(np.abs(scan_prefix(y)).max())
+    assert floor > tau
+    if method == "wbs":
+        res = wbs_detect(y, sample_intervals(4000, 200, 3), tau)
+    else:
+        res = bs_detect(y, tau)
+    assert res.change_points == (1000, 2000, 3000)
+    assert res.tau == floor
 
 
 def test_threshold_above_max_yields_nothing():
