@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,9 +25,9 @@ import numpy as np
 from steploc.experiments import (
     METHODS,
     ExperimentConfig,
-    build_signal,
     check_rate_inputs,
     detect,
+    draw_replication,
     rate_check,
     run_experiment,
     summarize,
@@ -35,7 +36,7 @@ from steploc.experiments import (
 )
 from steploc.l0 import DEFAULT_C_LAMBDA
 from steploc.metrics import estimate_sigma
-from steploc.noise import FAMILIES, NoiseSpec, sample, subseed
+from steploc.noise import FAMILIES
 from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
 from steploc.wbs import DEFAULT_C_TAU
@@ -179,9 +180,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from(args, method="l0", replications=1)
-    sig = build_signal(cfg)
-    y = sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, 0, 0))
+    cfg = _config_from(args, method="l0")
+    sig, y = draw_replication(cfg, 0)
     lines = [
         f"# signal: {signal_to_json(sig)}",
         f"# family: {cfg.family} sigma: {fmt_float(cfg.sigma)} seed: {cfg.base_seed}",
@@ -192,24 +192,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _config_from(args, method=None, replications=None) -> ExperimentConfig:
-    return ExperimentConfig(
-        n=args.n,
-        method=method if method is not None else args.method,
-        sigma=args.sigma,
-        base_seed=args.seed,
-        replications=replications if replications is not None else args.reps,
-        k=args.k,
-        delta=args.delta,
-        kappa=getattr(args, "kappa", None),
-        family=args.family,
-        lam=getattr(args, "lam", None),
-        tau=getattr(args, "tau", None),
-        intervals=getattr(args, "intervals", None),
-        max_len=getattr(args, "max_len", None),
-        c_lambda=getattr(args, "c_lambda", DEFAULT_C_LAMBDA),
-        c_tau=getattr(args, "c_tau", DEFAULT_C_TAU),
-    )
+def _config_from(args, **fixed) -> ExperimentConfig:
+    """The configuration of simulate, sweep or rate: each option whose
+    destination names an :class:`ExperimentConfig` field sets that field,
+    ``fixed`` sets others, and the dataclass defaults fill in the rest."""
+    names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -224,7 +212,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     base = _config_from(args)
-    rows = sweep_snr(base, _parse_grid(args.snr_grid), reps=args.reps, jobs=args.jobs)
+    rows = sweep_snr(base, _parse_grid(args.snr_grid), reps=base.replications, jobs=args.jobs)
     with _output(args.out) as out:
         write_csv(rows, out, include_timing=args.timing)
     if args.summary is not None:
@@ -274,8 +262,8 @@ def _add_harness_params(p: argparse.ArgumentParser, grid_flag: str, **grid) -> N
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument(grid_flag, **grid)
     _add_method_params(p)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=100)
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, default=DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="emit wall times (not byte-reproducible)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -302,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="emit one seeded replication (series + truth)")
     _add_signal_params(p, need_kappa=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

@@ -38,9 +38,11 @@ from steploc.wbs import (
 __all__ = [
     "METHODS",
     "CSV_HEADER",
+    "MAX_DEFAULT_INTERVALS",
     "ExperimentConfig",
     "ExperimentRow",
     "build_signal",
+    "draw_replication",
     "detect",
     "run_replication",
     "run_experiment",
@@ -55,6 +57,9 @@ __all__ = [
 METHODS = ("l0", "bs", "wbs")
 
 CSV_HEADER = "rep,snr,method,k_true,k_est,k_correct,max_err,hausdorff,ms"
+
+# The largest default wbs interval count; a larger one takes minutes and gigabytes.
+MAX_DEFAULT_INTERVALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,14 @@ def build_signal(cfg: ExperimentConfig) -> PiecewiseSignal:
     return make_signal(cfg.n, cps, levels)
 
 
+def draw_replication(cfg: ExperimentConfig, rep: int) -> tuple[PiecewiseSignal, np.ndarray]:
+    """The signal of ``cfg`` and the observations of replication ``rep``:
+    the signal plus ``cfg``'s noise from the replication's noise stream
+    (see the module docstring).  ``steploc simulate`` prints replication 0."""
+    sig = build_signal(cfg)
+    return sig, sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, rep, 0))
+
+
 def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, tau=None,
            c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
     """Change points of ``y`` by ``method``, and the parameters it ran with
@@ -160,8 +173,9 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
     ``c_tau * sigma sqrt(log n)``; with ``sigma == 0`` they must be given.
     wbs samples ``intervals`` intervals (by default the ``min_intervals``
     count for ``n`` and ``spacing``) of length at most ``max_len`` from
-    ``seed``.  An unknown method, or a ``sigma`` that is negative or not
-    finite, raises ``ValueError``.
+    ``seed``.  An unknown method, a ``sigma`` that is negative or not
+    finite, or a default interval count above ``MAX_DEFAULT_INTERVALS``
+    raises ``ValueError``; a given ``intervals`` is never capped.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -183,13 +197,15 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
         res = bs_detect(y, tau)
         return res.change_points, {"tau": res.tau}
     m = intervals if intervals is not None else min_intervals(n, spacing)
+    if intervals is None and m > MAX_DEFAULT_INTERVALS:
+        raise ValueError(f"the default wbs interval count for n = {n} and spacing {spacing} is "
+                         f"{m}, above {MAX_DEFAULT_INTERVALS}; give the count (--intervals)")
     res = wbs_detect(y, sample_intervals(n, m, seed, max_len=max_len), tau)
     return res.change_points, {"tau": res.tau, "intervals": m, "max_len": max_len, "seed": seed}
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
-    sig = build_signal(cfg)
-    y = sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, rep, 0))
+    sig, y = draw_replication(cfg, rep)
     spacing = min_spacing(sig)
     start = time.perf_counter()
     est, _ = detect(
@@ -321,6 +337,9 @@ def is_success(row: ExperimentRow, spacing: int) -> bool:
 def summarize(cfg: ExperimentConfig, rows: Iterable[ExperimentRow]) -> dict:
     """JSON-ready summary: config echo, success rate, error quantiles.
 
+    The echo holds the ``echoed`` fields of ``cfg``, in that order, and the
+    explicit signal when there is one.
+
     Quantiles are taken over replications with the correct count; runs with
     an infinite Hausdorff marker count as failures and are excluded.
     """
@@ -340,21 +359,9 @@ def summarize(cfg: ExperimentConfig, rows: Iterable[ExperimentRow]) -> dict:
             "max": float(arr.max()),
         }
 
-    config = {
-        "n": cfg.n,
-        "method": cfg.method,
-        "sigma": cfg.sigma,
-        "family": cfg.family,
-        "k": cfg.k,
-        "delta": cfg.delta,
-        "kappa": cfg.kappa,
-        "lam": cfg.lam,
-        "tau": cfg.tau,
-        "intervals": cfg.intervals,
-        "max_len": cfg.max_len,
-        "replications": cfg.replications,
-        "base_seed": cfg.base_seed,
-    }
+    echoed = ("n", "method", "sigma", "family", "k", "delta", "kappa", "lam", "tau",
+              "intervals", "max_len", "replications", "base_seed")
+    config = {name: getattr(cfg, name) for name in echoed}
     if cfg.signal is not None:
         config["signal"] = {
             "n": cfg.signal.n,

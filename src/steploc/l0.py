@@ -179,8 +179,8 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
 
     Parameters
     ----------
-    y : array of finite observations, length >= 1, whose sum of squares
-        times 2n is finite (``ValueError`` otherwise).
+    y : one-dimensional array of finite observations, length >= 1, whose
+        sum of squares times 2n is finite (``ValueError`` otherwise).
     lam : positive penalty per additional segment.
 
     Candidate starts are pruned without changing the result: ties are kept,
@@ -189,6 +189,8 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
+    if y.shape != (n,):
+        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
     if n == 0:
         raise ValueError("empty input")
     if not (math.isfinite(lam) and lam > 0):

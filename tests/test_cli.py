@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -673,6 +674,111 @@ def test_simulate_rejects_noise_that_overflows(capsys):
     assert captured.out == ""
     assert captured.err.startswith("steploc: error: noise too large")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "rademacher"])
+def test_simulate_prints_replication_zero_of_the_harness_draw(capsys, family):
+    assert main(["simulate", "--n", "120", "--k", "2", "--kappa", "1.5", "--sigma", "0.8",
+                 "--family", family, "--seed", "21"]) == 0
+    values = [float(v) for v in capsys.readouterr().out.splitlines()[3:]]
+    # The method and the replication count do not enter the draw.
+    cfg = steploc.experiments.ExperimentConfig(n=120, method="wbs", sigma=0.8, base_seed=21,
+                                               replications=7, k=2, kappa=1.5, family=family)
+    _, y = steploc.experiments.draw_replication(cfg, 0)
+    assert values == y.tolist()
+
+
+class _Configured(Exception):
+    """Carries the configuration that sweep or rate built, before any replication ran."""
+
+
+def _harness_config(monkeypatch, argv):
+    def stop(cfg, *args, **kwargs):
+        raise _Configured(cfg)
+
+    monkeypatch.setattr(cli, "sweep_snr", stop)
+    monkeypatch.setattr(cli, "run_experiment", stop)
+    with pytest.raises(_Configured) as caught:
+        main(argv)
+    return caught.value.args[0]
+
+
+_HARNESS_ARGV = {
+    "sweep": ["sweep", "--n", "200", "--k", "2", "--sigma", "1", "--method", "wbs", "--snr-grid", "2"],
+    "rate": ["rate", "--n", "200", "--k", "2", "--kappa", "1", "--sigma", "1", "--method", "wbs"],
+}
+
+_OPTION_FIELDS = [
+    ("--n", "300", "n", 300),
+    ("--k", "3", "k", 3),
+    ("--delta", "40", "delta", 40),
+    ("--kappa", "2.5", "kappa", 2.5),
+    ("--sigma", "0.5", "sigma", 0.5),
+    ("--family", "uniform", "family", "uniform"),
+    ("--method", "l0", "method", "l0"),
+    ("--lambda", "3", "lam", 3.0),
+    ("--tau", "2.5", "tau", 2.5),
+    ("--intervals", "77", "intervals", 77),
+    ("--max-len", "30", "max_len", 30),
+    ("--c-lambda", "3", "c_lambda", 3.0),
+    ("--c-tau", "2", "c_tau", 2.0),
+    ("--reps", "7", "replications", 7),
+    ("--seed", "99", "base_seed", 99),
+]
+
+
+@pytest.mark.parametrize("command, option, value, field, expected", [
+    pytest.param(command, *row, id=f"{command}{row[0]}")
+    for command in _HARNESS_ARGV
+    for row in _OPTION_FIELDS
+    if (command, row[0]) != ("sweep", "--kappa")  # sweep sets kappa from its snr grid
+])
+def test_each_harness_option_sets_its_config_field(monkeypatch, command, option, value, field, expected):
+    base = _harness_config(monkeypatch, _HARNESS_ARGV[command])
+    cfg = _harness_config(monkeypatch, [*_HARNESS_ARGV[command], option, value])
+    assert getattr(base, field) != expected
+    assert cfg == dataclasses.replace(base, **{field: expected})
+
+
+def _write_series(path, y):
+    path.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("hint, count", [("1", 486457758), ("10", 3390924)])
+def test_detect_refuses_a_default_wbs_pool_above_the_bound(tmp_path, capsys, hint, count):
+    path = _write_series(tmp_path / "y.txt", np.random.default_rng(0).normal(size=2000))
+    assert main(["detect", path, "--method", "wbs", "--delta-hint", hint]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"is {count}, above {steploc.experiments.MAX_DEFAULT_INTERVALS}" in captured.err
+    assert "--intervals" in captured.err
+
+
+def test_detect_never_caps_a_given_interval_count(tmp_path, capsys, monkeypatch):
+    path = _write_series(tmp_path / "y.txt", np.random.default_rng(0).normal(size=2000))
+    assert main(["detect", path, "--method", "wbs", "--delta-hint", "1", "--intervals", "300"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["intervals"] == 300
+    # A given count above the bound runs as well.
+    monkeypatch.setattr(steploc.experiments, "MAX_DEFAULT_INTERVALS", 100)
+    assert main(["detect", path, "--method", "wbs", "--intervals", "300"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["intervals"] == 300
+    assert main(["detect", path, "--method", "wbs", "--delta-hint", "500"]) == 2
+    assert "--intervals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["sweep", "rate"])
+def test_harness_refuses_a_default_wbs_pool_above_the_bound(capsys, command, jobs):
+    argv = [*_HARNESS_ARGV[command], "--n", "2000", "--delta", "1", "--reps", "3", "--jobs", jobs]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"steploc: error: the default wbs interval count for n = 2000 and spacing 1 "
+                            f"is 486457758, above 1048576; give the count (--intervals)\n")
+    assert main([*argv, "--intervals", "50"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
 
 
 @st.composite

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 import steploc.wbs
 from oracles import admissible_interval_mean_length
 from steploc.cusum import _scan_values, argmax_abs, cusum_scan, scan_prefix, scan_windows
+from steploc.experiments import detect
+from steploc.l0 import solve_l0
+from steploc.metrics import estimate_sigma
 from steploc.noise import NoiseSpec, generator, sample
 from steploc.signal import evaluate, make_signal, min_spacing, spike_signal
 from steploc.wbs import (
@@ -517,6 +521,18 @@ def test_detect_rejects_observations_that_are_not_one_dimensional(method):
             wbs_detect(y, sample_intervals(40, 30, 2), 1.0)
         else:
             bs_detect(y, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda y: solve_l0(y, 1.0), id="solve_l0"),
+    pytest.param(lambda y: detect(y, "l0", 1.0, spacing=2, seed=0), id="detect-l0"),
+    pytest.param(estimate_sigma, id="estimate_sigma"),
+])
+@pytest.mark.parametrize("shape", [(4, 4), (2, 20), (3, 3, 1)])
+def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensional(call, shape):
+    y = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"observations must have shape ({y.size},), got {shape}")):
+        call(y)
 
 
 @pytest.mark.parametrize("intervals", [((0.5, 10.0),), ((0, 10), (2, 7.0)), ((0, 10, 2),), (0, 10)])
