@@ -77,9 +77,9 @@ def read_series(stream) -> np.ndarray:
     first value into a header.
 
     The line rules find the first value.  The lines after it are taken
-    ``READ_CHUNK`` at a time: when each is one finite number, ``float``
-    converts the chunk in one sweep; otherwise the line rules walk the
-    chunk, which gives the same values or reports the faulty line."""
+    ``READ_CHUNK`` at a time: when each is one finite number, numpy converts
+    the chunk in one call, by ``float``'s rules; otherwise the line rules walk
+    the chunk, which gives the same values or reports the faulty line."""
     lines = iter(stream)
     head = next(lines, "").removeprefix("\ufeff")
     first = next(_line_values(itertools.chain([head], lines)), None)
@@ -89,7 +89,7 @@ def read_series(stream) -> np.ndarray:
     parts = [np.array([value])]
     while chunk := list(itertools.islice(lines, READ_CHUNK)):
         try:
-            part = np.array(list(map(float, chunk)), dtype=np.float64)
+            part = np.array(chunk, dtype=np.float64)
         except ValueError:
             part = None
         if part is None or not np.isfinite(part).all():

@@ -102,13 +102,6 @@ class CusumScan:
             raise ValueError("scan values must be finite")
 
 
-def _check_window(n: int, s: int, e: int) -> None:
-    if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
-        raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
-    if not 0 <= s < e <= n:
-        raise ValueError(f"window ({s}, {e}] out of range for n = {n}")
-
-
 def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Scan values for every split of every window (lo[i], hi[i]], given
     prefix sums of y; each window needs hi[i] - lo[i] >= 2.
@@ -192,9 +185,10 @@ def scan_prefix(y: np.ndarray) -> np.ndarray:
 def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
     """All scan values of the window (s, e], computed in O(e - s)."""
     y = np.asarray(y, dtype=np.float64)
-    _check_window(y.size, s, e)
-    if e - s < 2:
-        raise ValueError(f"window ({s}, {e}] is too short to scan")
+    if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
+        raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
+    if not 0 <= s < e <= y.size:
+        raise ValueError(f"window ({s}, {e}] out of range for n = {y.size}")
     return CusumScan(s=s, e=e, values=_scan_values(scan_prefix(y), s, e))
 
 

@@ -25,7 +25,7 @@ from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
 from steploc.metrics import localization_report
 from steploc.noise import FAMILIES, NoiseSpec, check_seed, sample, subseed
 from steploc.serialize import fmt_float
-from steploc.signal import PiecewiseSignal, make_signal, min_spacing, snr as signal_snr
+from steploc.signal import PiecewiseSignal, check_observations, make_signal, min_spacing, snr as signal_snr
 from steploc.wbs import (
     DEFAULT_C_TAU,
     bs_detect,
@@ -173,7 +173,8 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
     ``c_tau * sigma sqrt(log n)``; with ``sigma == 0`` they must be given.
     wbs samples ``intervals`` intervals (by default the ``min_intervals``
     count for ``n`` and ``spacing``) of length at most ``max_len`` from
-    ``seed``.  An unknown method, a ``sigma`` that is negative or not
+    ``seed``.  A ``y`` that is not 1-D and finite with at least 1 value (l0)
+    or 2 (bs, wbs), an unknown method, a ``sigma`` that is negative or not
     finite, or a default interval count above ``MAX_DEFAULT_INTERVALS``
     raises ``ValueError``; a given ``intervals`` is never capped.
     """
@@ -181,7 +182,8 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    n = len(y)
+    y = check_observations(y, least=1 if method == "l0" else 2)
+    n = y.size
     if method == "l0":
         if lam is None:
             if sigma == 0:

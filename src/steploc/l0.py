@@ -95,6 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from steploc.cusum import prefix_sums
+from steploc.signal import check_observations
 
 __all__ = [
     "Segmentation",
@@ -179,7 +180,7 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
 
     Parameters
     ----------
-    y : one-dimensional array of finite observations, length >= 1, whose
+    y : one-dimensional array of at least 1 finite observation, whose
         sum of squares times 2n is finite (``ValueError`` otherwise).
     lam : positive penalty per additional segment.
 
@@ -187,16 +188,10 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     so the returned partition is the smallest-index minimizer of the full
     recursion.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = check_observations(y)
     n = y.size
-    if y.shape != (n,):
-        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
-    if n == 0:
-        raise ValueError("empty input")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
 
     with np.errstate(over="ignore", invalid="ignore"):
         s1, s2 = segment_prefix(y)

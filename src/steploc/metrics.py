@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steploc.signal import PiecewiseSignal
+from steploc.signal import PiecewiseSignal, check_observations
 
 __all__ = [
     "EmptySetError",
@@ -92,14 +92,10 @@ def estimate_sigma(y: np.ndarray) -> float:
     percentile of |y[i+1] - y[i]|, calibrated by sqrt(2) * Φ⁻¹(0.875).  It
     is 0 only while at least about three quarters of the differences are
     0, as on constant or noiseless piecewise-constant data.  A difference
-    beyond the float range counts as infinite.  A ``y`` that is not 1-D, and
-    an estimate that is not finite, raise ``ValueError``.
+    beyond the float range counts as infinite.  ``ValueError`` if ``y`` is
+    not 1-D and finite with at least 2 values, or the estimate is not finite.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (y.size,):
-        raise ValueError(f"observations must have shape ({y.size},), got {y.shape}")
-    if y.size < 2:
-        raise ValueError(f"need at least 2 observations, got {y.size}")
+    y = check_observations(y, least=2)
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.abs(np.diff(y))
         med = float(np.median(diffs))

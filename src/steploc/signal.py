@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "PiecewiseSignal",
     "NoChangePointsError",
+    "check_observations",
     "make_signal",
     "evaluate",
     "min_spacing",
@@ -31,6 +32,20 @@ __all__ = [
 
 class NoChangePointsError(ValueError):
     """Raised by operations that require at least one change point."""
+
+
+def check_observations(y, n: int | None = None, least: int = 1) -> np.ndarray:
+    """The observations ``y`` as a float64 array: shape ``(n,)`` (any n for None),
+    at least ``least`` values, all finite.  ``ValueError`` otherwise."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size if n is None else n
+    if y.shape != (n,):
+        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
+    if n < least:
+        raise ValueError(f"need at least {least} observation{'s' * (least != 1)}, got {n}")
+    if not np.isfinite(y).all():
+        raise ValueError("observations must be finite")
+    return y
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ import numpy as np
 
 from steploc.cusum import PASS_POINTS, _scan_values, scan_prefix, scan_windows
 from steploc.noise import generator
+from steploc.signal import check_observations
 
 __all__ = [
     "IntervalSet",
@@ -224,14 +225,9 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
 
 
 def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:
-    """The recursion of both detectors.  Rejects a ``y`` that is not finite,
-    not of shape ``(ivals.n,)`` or so large that the scan's sums could
+    """The recursion of both detectors, on checked observations of length
+    ``ivals.n``.  Rejects a ``y`` so large that the scan's sums could
     overflow, and a ``tau`` that is not positive and finite."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (ivals.n,):
-        raise ValueError(f"observations must have shape ({ivals.n},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = scan_prefix(y)
         top, low = prefix.max(), prefix.min()
@@ -304,15 +300,13 @@ def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> Detec
 def wbs_detect(y: np.ndarray, intervals: IntervalSet, tau: float) -> DetectionResult:
     """Wild binary segmentation of ``y``, of length ``intervals.n``, with threshold
     ``tau``, or the scan's rounding floor if that is larger."""
-    return _detect(y, intervals, tau, method="wbs")
+    return _detect(check_observations(y, intervals.n), intervals, tau, method="wbs")
 
 
 def bs_detect(y: np.ndarray, tau: float) -> DetectionResult:
     """Plain binary segmentation: :func:`wbs_detect` over the one interval (0, n)."""
-    n = np.size(y)
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    return _detect(y, IntervalSet(n, ((0, n),)), tau, method="bs")
+    y = check_observations(y, least=2)
+    return _detect(y, IntervalSet(y.size, ((0, y.size),)), tau, method="bs")
 
 
 DEFAULT_C_TAU = 1.5

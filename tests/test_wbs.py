@@ -526,13 +526,37 @@ def test_detect_rejects_observations_that_are_not_one_dimensional(method):
 @pytest.mark.parametrize("call", [
     pytest.param(lambda y: solve_l0(y, 1.0), id="solve_l0"),
     pytest.param(lambda y: detect(y, "l0", 1.0, spacing=2, seed=0), id="detect-l0"),
+    pytest.param(lambda y: detect(y, "bs", 1.0, spacing=2, seed=0), id="detect-bs"),
+    pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=2, seed=0), id="detect-wbs"),
     pytest.param(estimate_sigma, id="estimate_sigma"),
 ])
-@pytest.mark.parametrize("shape", [(4, 4), (2, 20), (3, 3, 1)])
+@pytest.mark.parametrize("shape", [(), (4, 4), (2, 20), (3, 3, 1)])
 def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensional(call, shape):
     y = np.zeros(shape)
     with pytest.raises(ValueError, match=re.escape(f"observations must have shape ({y.size},), got {shape}")):
         call(y)
+
+
+@pytest.mark.parametrize("call, empty", [
+    pytest.param(lambda y: solve_l0(y, 1.0), "need at least 1 observation, got 0", id="solve_l0"),
+    pytest.param(estimate_sigma, "need at least 2 observations, got 0", id="estimate_sigma"),
+    pytest.param(lambda y: bs_detect(y, 1.0), "need at least 2 observations, got 0", id="bs_detect"),
+    # The interval set fixes the length, so an empty y has the wrong shape.
+    pytest.param(lambda y: wbs_detect(y, sample_intervals(max(y.size, 2), 4, 0), 1.0),
+                 "observations must have shape (2,), got (0,)", id="wbs_detect"),
+    pytest.param(lambda y: detect(y, "l0", 1.0, spacing=1, seed=0),
+                 "need at least 1 observation, got 0", id="detect-l0"),
+    pytest.param(lambda y: detect(y, "bs", 1.0, spacing=1, seed=0),
+                 "need at least 2 observations, got 0", id="detect-bs"),
+    pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=1, seed=0),
+                 "need at least 2 observations, got 0", id="detect-wbs"),
+])
+@pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0, 3.0], []],
+                         ids=["nan", "inf", "empty"])
+def test_every_entry_point_gives_one_message_per_bad_input(call, empty, y):
+    message = empty if len(y) == 0 else "observations must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(np.array(y))
 
 
 @pytest.mark.parametrize("intervals", [((0.5, 10.0),), ((0, 10), (2, 7.0)), ((0, 10, 2),), (0, 10)])
