@@ -8,7 +8,8 @@ For data ``y`` (1-indexed here; python arrays are 0-indexed so the window
 
 which equals the inner product of the window with a unit-norm up/down
 contrast vector.  Every value is taken from compensated prefix sums
-(:func:`prefix_sums`) of the globally centered data (:func:`scan_prefix`).
+(:func:`prefix_sums`) of the globally centered data (:func:`scan_prefix`),
+which rejects data whose sums could overflow a scan value.
 
 One kernel, :func:`scan_windows`, scores any number of windows
 ``(lo[i], hi[i]]`` in ragged numpy passes.  Its output is flat: window 0's
@@ -25,11 +26,13 @@ is the one-window case, which the binary-segmentation recursion in
 
 The one-window API, :func:`cusum_scan` with its result :class:`CusumScan`
 and :func:`argmax_abs`, scores every admissible split of one window in
-O(e - s) through the same kernel.  The direct references it is checked
-against (the single-split statistic from slice sums, the contrast vector,
-the two-mean projection and the closed form at one change point) live in
-``tests/oracles.py``; the scan must agree with them to 1e-10 up to
-n = 1e6.
+O(e - s) through the same kernel.  It checks its input with
+:func:`check_observations`, the package's one observation contract, which
+every other entry point imports from here.  The direct references the scan
+is checked against (the single-split statistic from slice sums, the
+contrast vector, the two-mean projection and the closed form at one change
+point) live in ``tests/oracles.py``; the scan must agree with them to 1e-10
+up to n = 1e6.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "CusumScan",
+    "check_observations",
     "prefix_sums",
     "cusum_scan",
     "argmax_abs",
@@ -54,6 +58,20 @@ PASS_POINTS = 4096
 _STEPS = np.arange(PASS_POINTS)
 _STEPS_F = _STEPS.astype(np.float64)
 _STEPS.flags.writeable = _STEPS_F.flags.writeable = False
+
+
+def check_observations(y, n: int | None = None, least: int = 1) -> np.ndarray:
+    """The observations ``y`` as a float64 array: shape ``(n,)`` (any n for None),
+    at least ``least`` values, all finite.  ``ValueError`` otherwise."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size if n is None else n
+    if y.shape != (n,):
+        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
+    if n < least:
+        raise ValueError(f"need at least {least} observation{'s' * (least != 1)}, got {n}")
+    if not np.isfinite(y).all():
+        raise ValueError("observations must be finite")
+    return y
 
 
 def prefix_sums(y: np.ndarray) -> np.ndarray:
@@ -171,7 +189,8 @@ def _scan_values(prefix: np.ndarray, s: int, e: int) -> np.ndarray:
 
 
 def scan_prefix(y: np.ndarray) -> np.ndarray:
-    """Prefix sums of the globally centered data.
+    """Prefix sums of the globally centered data; ``ValueError`` if ``y`` is
+    so large that a scan value could overflow.
 
     The scan statistic is orthogonal to constants, so centering changes
     nothing mathematically but keeps the prefix magnitudes at random-walk
@@ -179,12 +198,20 @@ def scan_prefix(y: np.ndarray) -> np.ndarray:
     digits of prefix differences.
     """
     y = np.asarray(y, dtype=np.float64)
-    return prefix_sums(y - y.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = prefix_sums(y - y.mean())
+        # Every window sum is a difference of two prefix sums, so none is
+        # larger than their range, which is NaN or inf if any of them is;
+        # a scan value is at most sqrt(2) times the range, plus rounding.
+        bound = 1.5 * (prefix.max() - prefix.min())
+    if not np.isfinite(bound):
+        raise ValueError("observations too large: their partial sums overflow")
+    return prefix
 
 
 def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
     """All scan values of the window (s, e], computed in O(e - s)."""
-    y = np.asarray(y, dtype=np.float64)
+    y = check_observations(y, least=2)
     if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
         raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
     if not 0 <= s < e <= y.size:

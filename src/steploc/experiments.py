@@ -21,11 +21,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from steploc.cusum import check_observations
 from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
 from steploc.metrics import localization_report
-from steploc.noise import FAMILIES, NoiseSpec, check_seed, sample, subseed
+from steploc.noise import NoiseSpec, check_seed, sample, subseed
 from steploc.serialize import fmt_float
-from steploc.signal import PiecewiseSignal, check_observations, make_signal, min_spacing, snr as signal_snr
+from steploc.signal import PiecewiseSignal, make_signal, min_spacing, snr as signal_snr
 from steploc.wbs import (
     DEFAULT_C_TAU,
     bs_detect,
@@ -94,12 +95,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
+        NoiseSpec(self.family, self.sigma)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         check_seed(self.base_seed)
         if self.signal is not None and self.signal.n != self.n:
             raise ValueError(f"explicit signal has n = {self.signal.n}, config says {self.n}")

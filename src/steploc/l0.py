@@ -94,8 +94,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from steploc.cusum import prefix_sums
-from steploc.signal import check_observations
+from steploc.cusum import check_observations, prefix_sums
 
 __all__ = [
     "Segmentation",

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steploc.signal import PiecewiseSignal, check_observations
+from steploc.cusum import check_observations
+from steploc.signal import PiecewiseSignal
 
 __all__ = [
     "EmptySetError",

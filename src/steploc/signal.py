@@ -4,6 +4,7 @@ Index convention used throughout the package: positions are 1-based and a
 change point ``eta`` is the *last* position of a segment, so the mean
 differs between positions ``eta`` and ``eta + 1``.  The implicit boundaries
 ``eta_0 = 0`` and ``eta_{K+1} = n`` count toward the minimal spacing.
+Observations are checked by ``steploc.cusum.check_observations``, not here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "PiecewiseSignal",
     "NoChangePointsError",
-    "check_observations",
     "make_signal",
     "evaluate",
     "min_spacing",
@@ -32,20 +32,6 @@ __all__ = [
 
 class NoChangePointsError(ValueError):
     """Raised by operations that require at least one change point."""
-
-
-def check_observations(y, n: int | None = None, least: int = 1) -> np.ndarray:
-    """The observations ``y`` as a float64 array: shape ``(n,)`` (any n for None),
-    at least ``least`` values, all finite.  ``ValueError`` otherwise."""
-    y = np.asarray(y, dtype=np.float64)
-    n = y.size if n is None else n
-    if y.shape != (n,):
-        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
-    if n < least:
-        raise ValueError(f"need at least {least} observation{'s' * (least != 1)}, got {n}")
-    if not np.isfinite(y).all():
-        raise ValueError("observations must be finite")
-    return y
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,8 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from steploc.cusum import PASS_POINTS, _scan_values, scan_prefix, scan_windows
+from steploc.cusum import PASS_POINTS, _scan_values, check_observations, scan_prefix, scan_windows
 from steploc.noise import generator
-from steploc.signal import check_observations
 
 __all__ = [
     "IntervalSet",
@@ -67,10 +66,6 @@ __all__ = [
     "min_intervals",
     "DEFAULT_C_TAU",
 ]
-
-# Endpoint pairs asked of the generator per draw in sample_intervals.
-MAX_DRAW = 2**13
-
 
 class IntervalSet:
     """Candidate intervals (alpha_m, beta_m): integers, 0 <= alpha_m < beta_m <= n,
@@ -181,10 +176,9 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     The result is the first ``m`` admissible pairs of the generator's stream
     of endpoint pairs, so it is deterministic in ``seed``.  That stream does
     not depend on how many pairs each draw asks for, so the draws are sized
-    freely: the first asks for ``2 m`` pairs, each later one for what the
-    acceptance rate seen so far says is missing, plus a margin, and none
-    for more than ``MAX_DRAW`` pairs, which bounds the memory of a call
-    whose ``max_len`` is tiny against ``n``.
+    freely: the first asks for ``4 m`` pairs (at least 64), and it and every
+    later draw for at most ``2 PASS_POINTS``, which bounds the memory of a
+    call whose ``max_len`` is tiny against ``n``.
 
     A pair is admissible when ``b - a - 2``, read as an unsigned integer, is
     at most ``max_len - 2``: one comparison, which a length below 2 fails by
@@ -202,13 +196,8 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     rng = generator(seed)
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
-    got = drawn = 0
+    got, chunk = 0, min(max(64, 4 * m), 2 * PASS_POINTS)
     while got < m:
-        if drawn == 0:
-            chunk = max(64, 2 * m)
-        else:
-            chunk = int(1.25 * (m - got) * drawn / max(got, 1)) + 64
-        chunk = min(chunk, MAX_DRAW)
         pairs = rng.integers(0, n + 1, size=(chunk, 2))
         a, b = pairs[:, 0], pairs[:, 1]
         # 2 <= b - a <= cap as one unsigned test: a length below 2 makes
@@ -219,29 +208,21 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
         alphas.append(a[kept])
         betas.append(b[kept])
         got += kept.size
-        drawn += chunk
+        chunk = 2 * PASS_POINTS
     return IntervalSet.from_arrays(n, np.concatenate(alphas), np.concatenate(betas),
                                    seed=seed, max_len=max_len)
 
 
 def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:
     """The recursion of both detectors, on checked observations of length
-    ``ivals.n``.  Rejects a ``y`` so large that the scan's sums could
-    overflow, and a ``tau`` that is not positive and finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prefix = scan_prefix(y)
-        top, low = prefix.max(), prefix.min()
-        # Every window sum is a difference of two prefix sums, so none is
-        # larger than their range, which is NaN or inf if any of them is;
-        # a scan value is at most sqrt(2) times the range, plus rounding.
-        bound = 1.5 * (top - low)
-    if not np.isfinite(bound):
-        raise ValueError("observations too large: their partial sums overflow")
+    ``ivals.n``.  Rejects a ``tau`` that is not positive and finite, and,
+    through :func:`scan_prefix`, a ``y`` whose sums could overflow."""
+    prefix = scan_prefix(y)
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
     # A scan value combines two prefix-sum differences with weights <= 1,
     # each within about one ulp of the largest prefix sum's magnitude.
-    tau = max(tau, 4 * 2.0**-52 * max(top, -low))
+    tau = max(tau, 4 * 2.0**-52 * max(prefix.max(), -prefix.min()))
     alphas, betas = ivals.alphas, ivals.betas
     # Per interval id: the clip (lo, hi) scored last, its first best split
     # and its score.  lo = -1 marks an interval never scored.

@@ -10,6 +10,7 @@ through ``steploc.l0.solve_l0``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,6 +92,32 @@ def brute_force_l0(y, lam: float) -> tuple[float, tuple[int, ...]]:
                 pos += 1
             best_bounds = tuple(bounds)
     return best, best_bounds
+
+
+def _exact_sse(y):
+    """SSE of ``y[i:j]`` as an exact rational, ``sse(i, j)``: every float is a
+    dyadic rational, so ``fractions.Fraction`` prefix sums lose nothing."""
+    s1, s2 = [Fraction(0)], [Fraction(0)]
+    for v in map(Fraction, np.asarray(y, dtype=np.float64).tolist()):
+        s1.append(s1[-1] + v)
+        s2.append(s2[-1] + v * v)
+    return lambda i, j: s2[j] - s2[i] - (s1[j] - s1[i]) ** 2 / (j - i)
+
+
+def exact_l0_minimum(y, lam: float) -> Fraction:
+    """The exact minimum of the penalized objective: the O(n^2) recursion
+    ``best[j] = min_i best[i] + SSE(i+1..j) + lam 1{i > 0}`` in rationals."""
+    sse, lam = _exact_sse(y), Fraction(lam)
+    best = [Fraction(0)]
+    for j in range(1, len(y) + 1):
+        best.append(min(best[i] + sse(i, j) + (lam if i else 0) for i in range(j)))
+    return best[-1]
+
+
+def exact_partition_objective(y, boundaries, lam: float) -> Fraction:
+    """The exact penalized objective of the partition given by sorted boundaries."""
+    sse, edges = _exact_sse(y), [0, *boundaries, len(y)]
+    return sum(sse(a, b) for a, b in zip(edges, edges[1:])) + Fraction(lam) * len(boundaries)
 
 
 def hausdorff_brute(e1, e2) -> float:

@@ -824,3 +824,18 @@ def test_detect_fuzz_exits_cleanly_with_sorted_in_range_output(method, y):
         cps = json.loads(out)["change_points"]
         assert all(a < b for a, b in zip(cps, cps[1:]))
         assert all(1 <= c <= y.size - 1 for c in cps)
+
+
+@pytest.mark.parametrize("grid, message", [("1,x", "bad grid '1,x'"), (",", "grid is empty")])
+def test_sweep_rejects_a_grid_that_does_not_parse(capsys, grid, message):
+    assert main(["sweep", "--n", "200", "--k", "1", "--sigma", "1", "--method", "l0",
+                 f"--snr-grid={grid}", "--reps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_json_dumps_false_and_unserializable_objects():
+    assert json_dumps([False, True, None]) == "[false, true, null]"
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        json_dumps({"a": {1}})

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,17 @@ def test_scan_validates_finite_values():
         CusumScan(s=0, e=4, values=np.array([1.0, np.nan, 2.0]))
     with pytest.raises(ValueError):
         CusumScan(s=0, e=4, values=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("y", [
+    [1e308] * 4 + [-1e308] * 4,  # the mean overflows
+    [1e308, -1e308, -1e308, 1e308],  # finite prefix sums, a window sum overflows
+    [1.5e308, -1.5e308],  # finite window sums, the scan value overflows
+])
+def test_scan_rejects_observations_whose_partial_sums_overflow(y):
+    # With warnings as errors, the check must also keep numpy quiet.
+    with pytest.raises(ValueError, match=re.escape("observations too large: their partial sums overflow")):
+        cusum_scan(y, 0, len(y))
 
 
 def test_steploc_cusum_is_the_module():

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,34 @@ def test_run_experiment_rejects_jobs_below_one(jobs):
     cfg = ExperimentConfig(n=100, method="l0", sigma=1.0, base_seed=0, k=1, replications=2)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_experiment(cfg, jobs=jobs)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("family", "cauchy", "unknown noise family 'cauchy'"),
+    ("sigma", -1.0, "sigma must be finite and >= 0, got -1.0"),
+    ("sigma", math.nan, "sigma must be finite and >= 0, got nan"),
+])
+def test_config_checks_the_noise_as_noise_spec_does(field, value, message):
+    args = dict(n=100, method="l0", sigma=1.0, base_seed=0, k=1, family="gaussian")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{**args, field: value})
+
+
+def test_summarize_echoes_an_explicit_signal():
+    sig = make_signal(40, [10], [0, 3.0])
+    cfg = ExperimentConfig(n=40, method="bs", sigma=0.0, base_seed=1, signal=sig, tau=0.5,
+                           replications=2)
+    doc = summarize(cfg, run_experiment(cfg))
+    assert doc["config"]["signal"] == {"n": 40, "change_points": [10], "levels": [0.0, 3.0]}
+    assert doc["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(sigma=0.0), "snr sweep needs sigma > 0"),
+    (dict(signal=make_signal(100, [50], [0, 1.0])), "snr sweep rescales the parametric signal"),
+])
+def test_sweep_snr_rejects_noiseless_and_explicit_signal_configs(changes, message):
+    cfg = ExperimentConfig(**{**dict(n=100, method="l0", sigma=1.0, base_seed=0, k=1, lam=1.0),
+                              **changes})
+    with pytest.raises(ValueError, match=message):
+        sweep_snr(cfg, [2.0], reps=1)

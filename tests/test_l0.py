@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_l0, partition_objective, recompute_objective, sse_direct
+from oracles import (
+    brute_force_l0,
+    exact_l0_minimum,
+    exact_partition_objective,
+    partition_objective,
+    recompute_objective,
+    sse_direct,
+)
 from steploc import l0
 from steploc.l0 import (
     L0Result,
@@ -429,6 +436,50 @@ def test_deterministic():
     b = solve_l0(y, 3.0)
     assert a.segmentation == b.segmentation
     assert a.objective == b.objective
+
+
+def _dyadic_series():
+    """Fifteen series whose values are multiples of 1/8, with lam = 2 log n
+    rounded to 1/64: half-integers in -3..3, sparse unit bumps on zeros,
+    and a 0/2/0/2 step plus noise rounded to 1/8."""
+    for n in (60, 120, 200):
+        lam = round(2 * math.log(n) * 64) / 64
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            kind = (n + seed) % 3
+            if kind == 0:
+                y = rng.integers(-6, 7, size=n) / 2
+            elif kind == 1:
+                y = (rng.random(n) < 0.05).astype(np.float64)
+            else:
+                y = np.repeat([0.0, 2.0, 0.0, 2.0], n // 4) + np.round(rng.normal(size=n) * 8) / 8
+            yield y, lam
+
+
+def test_exact_minimum_agrees_with_brute_force():
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=9).tolist()
+    best, bounds = brute_force_l0(y, 0.7)
+    assert float(exact_l0_minimum(y, 0.7)) == pytest.approx(best, rel=1e-12)
+    assert exact_partition_objective(y, bounds, 0.7) == exact_l0_minimum(y, 0.7)
+
+
+def test_solve_reaches_the_exact_minimum():
+    # Exact rationals, not a recursion over the same rounded prefix sums:
+    # the exact objective of the returned partition is the exact minimum.
+    for y, lam in _dyadic_series():
+        boundaries = solve_l0(y, lam).segmentation.boundaries
+        assert exact_partition_objective(y, boundaries, lam) == exact_l0_minimum(y, lam)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_solve_reaches_the_exact_minimum_far_from_zero():
+    # The same series offset by 1e8, where the raw prefix sums lose the
+    # within-segment variance to cancellation.
+    for y, lam in _dyadic_series():
+        y = y + 1e8
+        boundaries = solve_l0(y, lam).segmentation.boundaries
+        assert exact_partition_objective(y, boundaries, lam) == exact_l0_minimum(y, lam)
 
 
 def test_oracle_helpers_agree():

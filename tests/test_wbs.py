@@ -88,6 +88,26 @@ def test_sampling_draw_sizes_do_not_change_the_intervals(args, seed):
     assert sample_intervals(n, m, seed, max_len=max_len).intervals == _fixed_chunk_sample(n, m, seed, max_len)
 
 
+@pytest.mark.parametrize("args, max_len, most", [((1024, 2048, 7), 16, 18), ((2000, 355, 43), 1000, 2)])
+def test_sampling_draws_do_not_grow(monkeypatch, args, max_len, most):
+    # The pinned streams above, drawn in no more generator calls than the
+    # acceptance-rate sizing took.
+    draws = []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = generator(seed)
+
+        def integers(self, low, high, size):
+            draws.append(size[0])
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(steploc.wbs, "generator", Counting)
+    sample_intervals(*args, max_len=max_len)
+    assert len(draws) <= most
+    assert max(draws) <= 2 * PASS_POINTS
+
+
 def test_sampling_respects_constraints():
     ivals = sample_intervals(200, 500, 3, max_len=17)
     for a, b in ivals.intervals:
@@ -529,6 +549,7 @@ def test_detect_rejects_observations_that_are_not_one_dimensional(method):
     pytest.param(lambda y: detect(y, "bs", 1.0, spacing=2, seed=0), id="detect-bs"),
     pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=2, seed=0), id="detect-wbs"),
     pytest.param(estimate_sigma, id="estimate_sigma"),
+    pytest.param(lambda y: cusum_scan(y, 0, 2), id="cusum_scan"),
 ])
 @pytest.mark.parametrize("shape", [(), (4, 4), (2, 20), (3, 3, 1)])
 def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensional(call, shape):
@@ -550,6 +571,8 @@ def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensio
                  "need at least 2 observations, got 0", id="detect-bs"),
     pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=1, seed=0),
                  "need at least 2 observations, got 0", id="detect-wbs"),
+    pytest.param(lambda y: cusum_scan(y, 0, max(y.size, 2)),
+                 "need at least 2 observations, got 0", id="cusum_scan"),
 ])
 @pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0, 3.0], []],
                          ids=["nan", "inf", "empty"])
