@@ -51,10 +51,6 @@ DEFAULT_SEED = 1729
 # Lines converted per sweep by read_series after the first value.
 READ_CHUNK = 4096
 
-# lambda/tau for a noise scale of 0 (exactly noiseless input), for which
-# the default formulas would give 0; bs and wbs raise any tau to the scan's rounding floor.
-_PARAM_FLOOR = 1e-12
-
 
 class InputError(Exception):
     """The input series could not be opened, decoded or parsed."""
@@ -156,21 +152,15 @@ def _emit(text: str, path) -> None:
 
 def _cmd_detect(args) -> int:
     y = _read_input(args.input)
-    n = int(y.size)
     sigma_hat = args.sigma if args.sigma is not None else estimate_sigma(y)
-    lam, tau = args.lam, args.tau
-    if sigma_hat == 0:
-        lam = _PARAM_FLOOR if lam is None else lam
-        tau = _PARAM_FLOOR if tau is None else tau
     cps, params = detect(
-        y, args.method, sigma_hat,
-        spacing=args.delta_hint if args.delta_hint is not None else max(1, n // 10),
-        seed=args.seed, lam=lam, tau=tau,
-        c_lambda=args.c_lambda, c_tau=args.c_tau, intervals=args.intervals, max_len=args.max_len,
+        y, args.method, sigma_hat, spacing=args.delta_hint, seed=args.seed, lam=args.lam,
+        tau=args.tau, c_lambda=args.c_lambda, c_tau=args.c_tau, intervals=args.intervals,
+        max_len=args.max_len,
     )
     doc = {
         "method": args.method,
-        "n": n,
+        "n": int(y.size),
         "sigma_hat": float(sigma_hat),
         "params": params,
         "change_points": list(cps),

@@ -24,7 +24,7 @@ import numpy as np
 from steploc.cusum import check_observations
 from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
 from steploc.metrics import localization_report
-from steploc.noise import NoiseSpec, check_seed, sample, subseed
+from steploc.noise import NoiseSpec, check_seed, check_sigma, sample, subseed
 from steploc.serialize import fmt_float
 from steploc.signal import PiecewiseSignal, make_signal, min_spacing, snr as signal_snr
 from steploc.wbs import (
@@ -62,6 +62,9 @@ CSV_HEADER = "rep,snr,method,k_true,k_est,k_correct,max_err,hausdorff,ms"
 # The largest default wbs interval count; a larger one takes minutes and gigabytes.
 MAX_DEFAULT_INTERVALS = 2**20
 
+# detect's default lam/tau at sigma = 0, where the formulas give 0 (bs/wbs raise it further).
+_NOISELESS_PARAM = 1e-12
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,8 +74,9 @@ class ExperimentConfig:
     of length ``n`` with ``k`` change points spaced ``delta`` apart
     (``delta`` defaults to ``n // (k + 1)``) and levels alternating between
     0 and ``kappa``.  Method parameters left as ``None`` fall back to the
-    calibrated defaults where those are defined (``sigma > 0``); with
-    ``sigma == 0`` they must be supplied explicitly.
+    defaults of :func:`detect`, which checks them and the multipliers at
+    each replication; with ``sigma == 0`` a replication raises
+    ``ValueError`` unless ``lam`` (l0) or ``tau`` (bs, wbs) is given.
     """
 
     n: int
@@ -161,41 +165,44 @@ def draw_replication(cfg: ExperimentConfig, rep: int) -> tuple[PiecewiseSignal, 
     return sig, sample(sig, NoiseSpec(cfg.family, cfg.sigma), subseed(cfg.base_seed, rep, 0))
 
 
-def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, tau=None,
-           c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
+def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: int, lam=None,
+           tau=None, c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
     """Change points of ``y`` by ``method``, and the parameters it ran with
     (the ``params`` that ``steploc detect`` prints) as its result reports
     them, so a ``tau`` below the scan's rounding floor is printed raised.
 
     ``lam``/``tau`` default to ``c_lambda * sigma^2 log n`` and
-    ``c_tau * sigma sqrt(log n)``; with ``sigma == 0`` they must be given.
+    ``c_tau * sigma sqrt(log n)``, and to 1e-12 when ``sigma == 0``
+    (exactly noiseless input), where those would be 0.
     wbs samples ``intervals`` intervals (by default the ``min_intervals``
-    count for ``n`` and ``spacing``) of length at most ``max_len`` from
-    ``seed``.  A ``y`` that is not 1-D and finite with at least 1 value (l0)
-    or 2 (bs, wbs), an unknown method, a ``sigma`` that is negative or not
-    finite, or a default interval count above ``MAX_DEFAULT_INTERVALS``
-    raises ``ValueError``; a given ``intervals`` is never capped.
+    count for ``n`` and ``spacing``, which defaults to ``max(1, n // 10)``)
+    of length at most ``max_len`` from ``seed``.  A ``y`` that is not 1-D
+    and finite with at least 1 value (l0) or 2 (bs, wbs), an unknown method,
+    a ``sigma`` that is negative or not finite, a ``c_lambda`` or ``c_tau``
+    that is not positive, whether used or not, a default ``lam``/``tau``
+    that underflows or overflows, or a default interval count above
+    ``MAX_DEFAULT_INTERVALS`` raises ``ValueError``; a given ``intervals``
+    is never capped.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    check_sigma(sigma)
+    for name, c in (("c_lambda", c_lambda), ("c_tau", c_tau)):
+        if not c > 0:
+            raise ValueError(f"{name} must be positive, got {c!r}")
     y = check_observations(y, least=1 if method == "l0" else 2)
     n = y.size
     if method == "l0":
         if lam is None:
-            if sigma == 0:
-                raise ValueError("sigma = 0 has no default penalty; pass lam explicitly")
-            lam = default_lambda(sigma, n, c_lambda)
+            lam = default_lambda(sigma, n, c_lambda) if sigma > 0 else _NOISELESS_PARAM
         res = solve_l0(y, lam)
         return res.segmentation.boundaries, {"lambda": res.lam}
     if tau is None:
-        if sigma == 0:
-            raise ValueError("sigma = 0 has no default threshold; pass tau explicitly")
-        tau = default_tau(sigma, n, c_tau)
+        tau = default_tau(sigma, n, c_tau) if sigma > 0 else _NOISELESS_PARAM
     if method == "bs":
         res = bs_detect(y, tau)
         return res.change_points, {"tau": res.tau}
+    spacing = spacing if spacing is not None else max(1, n // 10)
     m = intervals if intervals is not None else min_intervals(n, spacing)
     if intervals is None and m > MAX_DEFAULT_INTERVALS:
         raise ValueError(f"the default wbs interval count for n = {n} and spacing {spacing} is "
@@ -205,6 +212,10 @@ def detect(y, method: str, sigma: float, *, spacing: int, seed: int, lam=None, t
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:
+    if cfg.sigma == 0 and cfg.method == "l0" and cfg.lam is None:
+        raise ValueError("sigma = 0 has no default penalty; pass lam explicitly")
+    if cfg.sigma == 0 and cfg.method != "l0" and cfg.tau is None:
+        raise ValueError("sigma = 0 has no default threshold; pass tau explicitly")
     sig, y = draw_replication(cfg, rep)
     spacing = min_spacing(sig)
     start = time.perf_counter()

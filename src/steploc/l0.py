@@ -348,11 +348,17 @@ DEFAULT_C_LAMBDA = 2.0
 
 
 def default_lambda(sigma: float, n, c_lambda: float = DEFAULT_C_LAMBDA) -> float:
-    """Penalty scale c * sigma^2 * log(n), with c = ``DEFAULT_C_LAMBDA`` by default."""
+    """Penalty scale c * sigma^2 * log(n), with c = ``DEFAULT_C_LAMBDA`` by default.
+
+    A product that underflows to 0 or overflows raises ``ValueError``."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_lambda > 0:
         raise ValueError(f"c_lambda must be positive, got {c_lambda!r}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
-    return c_lambda * sigma * sigma * math.log(n)
+    lam = c_lambda * sigma * sigma * math.log(n)
+    if not 0 < lam < math.inf:
+        raise ValueError(f"the default penalty is {lam!r} for sigma = {sigma!r}, "
+                         f"c_lambda = {c_lambda!r} and n = {n!r}; pass lam explicitly")
+    return lam

@@ -15,7 +15,7 @@ import numpy as np
 
 from steploc.signal import PiecewiseSignal, evaluate
 
-__all__ = ["NoiseSpec", "FAMILIES", "check_seed", "subseed", "generator", "sample"]
+__all__ = ["NoiseSpec", "FAMILIES", "check_sigma", "check_seed", "subseed", "generator", "sample"]
 
 FAMILIES = ("gaussian", "uniform", "rademacher")
 
@@ -38,8 +38,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}, expected one of {FAMILIES}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        check_sigma(self.sigma)
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise ``ValueError`` unless the noise scale ``sigma`` is finite and >= 0."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
 
 
 def check_seed(seed: int) -> int:

@@ -294,14 +294,20 @@ DEFAULT_C_TAU = 1.5
 
 
 def default_tau(sigma: float, n, c_tau: float = DEFAULT_C_TAU) -> float:
-    """Threshold scale c * sigma * sqrt(log(n)), with c = ``DEFAULT_C_TAU`` by default."""
+    """Threshold scale c * sigma * sqrt(log(n)), with c = ``DEFAULT_C_TAU`` by default.
+
+    A product that underflows to 0 or overflows raises ``ValueError``."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_tau > 0:
         raise ValueError(f"c_tau must be positive, got {c_tau!r}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
-    return c_tau * sigma * math.sqrt(math.log(n))
+    tau = c_tau * sigma * math.sqrt(math.log(n))
+    if not 0 < tau < math.inf:
+        raise ValueError(f"the default threshold is {tau!r} for sigma = {sigma!r}, "
+                         f"c_tau = {c_tau!r} and n = {n!r}; pass tau explicitly")
+    return tau
 
 
 def min_intervals(n: int, delta: int) -> int:

@@ -839,3 +839,61 @@ def test_json_dumps_false_and_unserializable_objects():
     assert json_dumps([False, True, None]) == "[false, true, null]"
     with pytest.raises(TypeError, match="cannot serialize set"):
         json_dumps({"a": {1}})
+
+
+@pytest.fixture
+def series_files(tmp_path, monkeypatch):
+    """Run in a directory holding noise.txt (40 normal values) and zeros.txt (60 zeros)."""
+    monkeypatch.chdir(tmp_path)
+    noise = np.random.default_rng(0).normal(size=40)
+    Path("noise.txt").write_text("".join(f"{v!r}\n" for v in noise.tolist()))
+    Path("zeros.txt").write_text("0.0\n" * 60)
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "noise.txt", "--method", "l0", "--lambda", "4", "--c-lambda", "-1"],
+     "c_lambda must be positive, got -1.0"),
+    (["detect", "noise.txt", "--method", "l0", "--c-tau", "-1"], "c_tau must be positive, got -1.0"),
+    (["detect", "noise.txt", "--method", "bs", "--tau", "3", "--c-tau", "0"],
+     "c_tau must be positive, got 0.0"),
+    (["detect", "zeros.txt", "--method", "l0", "--c-lambda", "-1"],
+     "c_lambda must be positive, got -1.0"),
+    (["rate", "--n", "100", "--k", "2", "--kappa", "2", "--sigma", "1", "--method", "bs",
+      "--reps", "2", "--c-lambda", "-1"], "c_lambda must be positive, got -1.0"),
+], ids=["given-lambda", "l0-c-tau", "given-tau", "noiseless", "rate-bs-c-lambda"])
+def test_a_nonpositive_multiplier_is_an_error_also_where_its_default_goes_unused(
+        series_files, capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "noise.txt", "--method", "l0", "--sigma", "1e-200"],
+     "the default penalty is 0.0 for sigma = 1e-200, c_lambda = 2.0 and n = 40; pass lam explicitly"),
+    (["detect", "noise.txt", "--method", "l0", "--sigma", "1e200"],
+     "the default penalty is inf for sigma = 1e+200, c_lambda = 2.0 and n = 40; pass lam explicitly"),
+    (["detect", "noise.txt", "--method", "wbs", "--sigma", "1e308"],
+     "the default threshold is inf for sigma = 1e+308, c_tau = 1.5 and n = 40; pass tau explicitly"),
+    (["rate", "--n", "100", "--k", "2", "--kappa", "2", "--sigma", "1e-200", "--method", "l0",
+      "--reps", "2"],
+     "the default penalty is 0.0 for sigma = 1e-200, c_lambda = 2.0 and n = 100; pass lam explicitly"),
+], ids=["l0-underflow", "l0-overflow", "wbs-overflow", "rate-l0-underflow"])
+def test_a_default_that_underflows_or_overflows_names_the_noise_scale(
+        series_files, capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "2"], "kappa must be nonzero for a signal with change points"),
+    (["--k", "3", "--delta", "40", "--kappa", "1"],
+     "cannot place 3 change points with spacing 40 in n = 100"),
+], ids=["no-kappa", "no-room"])
+def test_rate_rejects_a_signal_it_cannot_build(capsys, flags, message):
+    assert main(["rate", "--n", "100", "--sigma", "1", "--method", "l0", "--reps", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: {message}\n"

@@ -277,3 +277,13 @@ def test_one_window_scan_holds_no_length_n_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes + 16 * PASS_POINTS * 8
+
+
+@pytest.mark.parametrize("s, e, message", [
+    (0.0, 4, "window endpoints must be integers, got (0.0, 4)"),
+    (0, 7, "window (0, 7] out of range for n = 6"),
+    (4, 4, "window (4, 4] out of range for n = 6"),
+], ids=["float", "past-n", "empty"])
+def test_cusum_scan_checks_its_window(s, e, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cusum_scan(np.arange(6.0), s, e)

@@ -283,3 +283,39 @@ def test_sweep_snr_rejects_noiseless_and_explicit_signal_configs(changes, messag
                               **changes})
     with pytest.raises(ValueError, match=message):
         sweep_snr(cfg, [2.0], reps=1)
+
+
+def test_detect_resolves_the_noiseless_defaults():
+    y = np.repeat([0.0, 2.0, 0.0], 20)
+    assert detect(y, "l0", 0.0, seed=0) == ((20, 40), {"lambda": 1e-12})
+    assert detect(y, "bs", 0.0, seed=0) == ((20, 40), {"tau": 1e-12})
+    # The spacing defaults to n // 10 = 6, which sizes the interval pool.
+    assert detect(y, "wbs", 0.0, seed=0) == (
+        (20, 40), {"tau": 1e-12, "intervals": 3685, "max_len": None, "seed": 0})
+
+
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_the_harness_refuses_sigma_0_without_the_parameter(method):
+    cfg = ExperimentConfig(n=60, method=method, sigma=0.0, base_seed=3, k=1, kappa=1.0)
+    message = ("sigma = 0 has no default penalty; pass lam explicitly" if method == "l0"
+               else "sigma = 0 has no default threshold; pass tau explicitly")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_replication(cfg, 0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", ["c_lambda", "c_tau"])
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_checks_both_multipliers_whether_used_or_not(method, name, value):
+    y = np.repeat([0.0, 2.0], 20)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be positive, got {value!r}")):
+        detect(y, method, 1.0, spacing=20, seed=0, lam=1.0, tau=1.0, **{name: value})
+
+
+def test_build_signal_needs_a_jump_and_room_for_the_change_points():
+    with pytest.raises(ValueError, match="kappa must be nonzero for a signal with change points"):
+        build_signal(ExperimentConfig(n=100, method="l0", sigma=1.0, base_seed=0, k=2))
+    with pytest.raises(ValueError,
+                       match=re.escape("cannot place 3 change points with spacing 40 in n = 100")):
+        build_signal(ExperimentConfig(n=100, method="l0", sigma=1.0, base_seed=0, k=3, delta=40,
+                                      kappa=1.0))

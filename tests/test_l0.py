@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -490,3 +491,27 @@ def test_oracle_helpers_agree():
     best, bounds = brute_force_l0(y, lam)
     assert partition_objective(y, bounds, lam) == pytest.approx(best, rel=1e-12)
     assert sse_direct(y) == pytest.approx(float(np.sum((np.array(y) - np.mean(y)) ** 2)))
+
+
+def test_default_lambda_checks_its_multiplier():
+    with pytest.raises(ValueError, match=re.escape("c_lambda must be positive, got 0.0")):
+        default_lambda(1.0, 100, 0.0)
+
+
+@pytest.mark.parametrize("sigma, value", [(1e-200, "0.0"), (1e200, "inf")])
+def test_default_lambda_rejects_a_penalty_that_underflows_or_overflows(sigma, value):
+    message = (f"the default penalty is {value} for sigma = {sigma!r}, c_lambda = 2.0 "
+               "and n = 100; pass lam explicitly")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_lambda(sigma, 100)
+
+
+@pytest.mark.parametrize("n, boundaries, message", [
+    (0, (), "n must be a positive integer, got 0"),
+    (5, (5,), "boundary 5 outside [1, 4]"),
+    (5, (2.0,), "boundary 2.0 outside [1, 4]"),
+    (5, (3, 2), "boundaries must be strictly increasing, got (3, 2)"),
+], ids=["n", "range", "type", "order"])
+def test_segmentation_checks_n_and_its_boundaries(n, boundaries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Segmentation(n, boundaries)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ def test_equal_adjacent_levels_rejected():
         (4, [0], [0, 1]),  # out of range
         (4, [2], [0, 1, 2]),  # level count mismatch
         (0, [], [1]),  # bad n
+        (4, [2], [0, math.inf]),  # non-finite level
     ],
 )
 def test_invalid_construction(n, cps, levels):
@@ -171,3 +173,15 @@ def test_snr_scale_covariant(sig, scale):
         return
     scaled = make_signal(sig.n, sig.change_points, [v * scale for v in sig.levels])
     assert snr(scaled, scale) == pytest.approx(snr(sig, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PiecewiseSignal(4, (2.0,), (0.0, 1.0)), "change points must be integers, got 2.0"),
+    (lambda: spike_signal(1, 1, 1.0), "n must be an integer >= 2, got 1"),
+    (lambda: two_point_pair(10, 0, 1, 1.0), "delta_spacing must be a positive integer, got 0"),
+    (lambda: two_point_pair(10, 3, 0, 1.0), "shift must be a positive integer, got 0"),
+    (lambda: two_point_pair(10, 3, 2, 0.0), "kappa must be nonzero"),
+], ids=["float-change-point", "spike-n", "pair-spacing", "pair-shift", "pair-kappa"])
+def test_constructors_name_the_argument_they_reject(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

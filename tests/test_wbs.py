@@ -664,3 +664,28 @@ def test_bs_holds_few_length_n_buffers():
         tracemalloc.stop()
     assert res.change_points
     assert peak < 4 * n * 8
+
+
+def test_default_tau_checks_its_multiplier():
+    with pytest.raises(ValueError, match=re.escape("c_tau must be positive, got -1.0")):
+        default_tau(1.0, 100, -1.0)
+
+
+@pytest.mark.parametrize("sigma, c_tau, value", [(5e-324, 0.1, "0.0"), (1e308, 1.5, "inf")])
+def test_default_tau_rejects_a_threshold_that_underflows_or_overflows(sigma, c_tau, value):
+    message = (f"the default threshold is {value} for sigma = {sigma!r}, c_tau = {c_tau!r} "
+               "and n = 100; pass tau explicitly")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_tau(sigma, 100, c_tau)
+
+
+def test_interval_set_checks_n_and_stays_frozen():
+    with pytest.raises(ValueError, match=re.escape("n must be an integer >= 2, got 1")):
+        IntervalSet(1, ())
+    with pytest.raises(ValueError, match=re.escape("n must be a positive integer, got 0")):
+        min_intervals(0, 1)
+    ivals = IntervalSet(10, ((2, 9),))
+    assert ivals.__eq__(((2, 9),)) is NotImplemented and ivals != ((2, 9),)
+    with pytest.raises(AttributeError, match="cannot delete field 'seed'"):
+        del ivals.seed
+    assert ivals.seed is None
