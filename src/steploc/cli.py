@@ -7,7 +7,9 @@ result cannot be written to its ``--out``/``--summary`` path (reported as
 parsed (``steploc: input error``).  All randomness flows from ``--seed``
 (default 1729, fixed rather than drawn from entropy, so documented example
 invocations reproduce exactly), and all emitted floats carry 17
-significant digits; repeated invocations are byte-identical.
+significant digits, except in the ``# signal:`` header of ``simulate``,
+which is ``json.dumps`` output (Python's shortest round-trip repr);
+repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from steploc.experiments import (
     sweep_snr,
     write_csv,
 )
-from steploc.l0 import DEFAULT_C_LAMBDA
 from steploc.metrics import estimate_sigma
 from steploc.noise import FAMILIES
 from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
-from steploc.wbs import DEFAULT_C_TAU
 
 # Unused here, but perfbench/tracing.py wraps them in this module (ROADMAP: "One instrument").
 from steploc.experiments import bs_detect, sample_intervals, solve_l0, wbs_detect  # noqa: F401
@@ -183,11 +183,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _config_from(args, **fixed) -> ExperimentConfig:
-    """The configuration of simulate, sweep or rate: each option whose
+    """The configuration of simulate, sweep or rate: each given option whose
     destination names an :class:`ExperimentConfig` field sets that field,
     ``fixed`` sets others, and the dataclass defaults fill in the rest."""
     names = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return ExperimentConfig(**given, **fixed)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -230,9 +231,9 @@ def _add_method_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None, help="bs/wbs threshold")
     p.add_argument("--intervals", type=int, default=None, help="number of random intervals (wbs)")
     p.add_argument("--max-len", dest="max_len", type=int, default=None, help="interval length cap")
-    p.add_argument("--c-lambda", dest="c_lambda", type=float, default=DEFAULT_C_LAMBDA,
+    p.add_argument("--c-lambda", dest="c_lambda", type=float,
                    help="multiplier for the default penalty sigma^2 log n")
-    p.add_argument("--c-tau", dest="c_tau", type=float, default=DEFAULT_C_TAU,
+    p.add_argument("--c-tau", dest="c_tau", type=float,
                    help="multiplier for the default threshold sigma sqrt(log n)")
 
 
@@ -243,7 +244,7 @@ def _add_signal_params(p: argparse.ArgumentParser, need_kappa: bool) -> None:
     if need_kappa:
         p.add_argument("--kappa", type=float, default=None, help="jump size")
     p.add_argument("--sigma", type=float, required=True, help="noise scale")
-    p.add_argument("--family", choices=FAMILIES, default="gaussian", help="noise family")
+    p.add_argument("--family", choices=FAMILIES, help="noise family")
 
 
 def _add_harness_params(p: argparse.ArgumentParser, grid_flag: str, **grid) -> None:

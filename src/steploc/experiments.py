@@ -22,19 +22,12 @@ from typing import IO, Iterable
 import numpy as np
 
 from steploc.cusum import check_observations
-from steploc.l0 import DEFAULT_C_LAMBDA, default_lambda, solve_l0
+from steploc.l0 import default_lambda, solve_l0
 from steploc.metrics import localization_report
 from steploc.noise import NoiseSpec, check_seed, check_sigma, sample, subseed
 from steploc.serialize import fmt_float
 from steploc.signal import PiecewiseSignal, make_signal, min_spacing, snr as signal_snr
-from steploc.wbs import (
-    DEFAULT_C_TAU,
-    bs_detect,
-    default_tau,
-    min_intervals,
-    sample_intervals,
-    wbs_detect,
-)
+from steploc.wbs import bs_detect, default_tau, min_intervals, sample_intervals, wbs_detect
 
 __all__ = [
     "METHODS",
@@ -75,8 +68,10 @@ class ExperimentConfig:
     (``delta`` defaults to ``n // (k + 1)``) and levels alternating between
     0 and ``kappa``.  Method parameters left as ``None`` fall back to the
     defaults of :func:`detect`, which checks them and the multipliers at
-    each replication; with ``sigma == 0`` a replication raises
-    ``ValueError`` unless ``lam`` (l0) or ``tau`` (bs, wbs) is given.
+    each replication, except ``max_len``, which falls back to
+    ``max(2, 2 * spacing)`` for the signal's minimal spacing; with
+    ``sigma == 0`` a replication raises ``ValueError`` unless ``lam`` (l0)
+    or ``tau`` (bs, wbs) is given.
     """
 
     n: int
@@ -93,8 +88,8 @@ class ExperimentConfig:
     tau: float | None = None
     intervals: int | None = None
     max_len: int | None = None
-    c_lambda: float = DEFAULT_C_LAMBDA
-    c_tau: float = DEFAULT_C_TAU
+    c_lambda: float | None = None
+    c_tau: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -166,35 +161,43 @@ def draw_replication(cfg: ExperimentConfig, rep: int) -> tuple[PiecewiseSignal, 
 
 
 def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: int, lam=None,
-           tau=None, c_lambda=DEFAULT_C_LAMBDA, c_tau=DEFAULT_C_TAU, intervals=None, max_len=None):
+           tau=None, c_lambda=None, c_tau=None, intervals=None, max_len=None):
     """Change points of ``y`` by ``method``, and the parameters it ran with
     (the ``params`` that ``steploc detect`` prints) as its result reports
     them, so a ``tau`` below the scan's rounding floor is printed raised.
 
-    ``lam``/``tau`` default to ``c_lambda * sigma^2 log n`` and
-    ``c_tau * sigma sqrt(log n)``, and to 1e-12 when ``sigma == 0``
+    ``lam``/``tau`` default to ``default_lambda``/``default_tau`` of ``sigma``,
+    ``n`` (2 for one value, which has only the empty partition) and
+    ``c_lambda``/``c_tau``, and to 1e-12 when ``sigma == 0``
     (exactly noiseless input), where those would be 0.
     wbs samples ``intervals`` intervals (by default the ``min_intervals``
     count for ``n`` and ``spacing``, which defaults to ``max(1, n // 10)``)
     of length at most ``max_len`` from ``seed``.  A ``y`` that is not 1-D
     and finite with at least 1 value (l0) or 2 (bs, wbs), an unknown method,
-    a ``sigma`` that is negative or not finite, a ``c_lambda`` or ``c_tau``
-    that is not positive, whether used or not, a default ``lam``/``tau``
-    that underflows or overflows, or a default interval count above
-    ``MAX_DEFAULT_INTERVALS`` raises ``ValueError``; a given ``intervals``
-    is never capped.
+    a ``sigma`` that is negative or not finite, a given ``c_lambda`` or
+    ``c_tau`` that is not positive, a given ``spacing`` outside [1, n],
+    ``intervals`` below 1 or ``max_len`` below 2, each whether used or not,
+    a default ``lam``/``tau`` that underflows or overflows, or a default
+    interval count above ``MAX_DEFAULT_INTERVALS`` raises ``ValueError``;
+    a given ``intervals`` is never capped.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     check_sigma(sigma)
     for name, c in (("c_lambda", c_lambda), ("c_tau", c_tau)):
-        if not c > 0:
+        if c is not None and not c > 0:
             raise ValueError(f"{name} must be positive, got {c!r}")
     y = check_observations(y, least=1 if method == "l0" else 2)
     n = y.size
+    if spacing is not None and not (isinstance(spacing, int) and 1 <= spacing <= n):
+        raise ValueError(f"spacing must be an integer in [1, {n}], got {spacing!r}")
+    if intervals is not None and not (isinstance(intervals, int) and intervals >= 1):
+        raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
+    if max_len is not None and not max_len >= 2:
+        raise ValueError(f"max_len must be at least 2, got {max_len!r}")
     if method == "l0":
         if lam is None:
-            lam = default_lambda(sigma, n, c_lambda) if sigma > 0 else _NOISELESS_PARAM
+            lam = default_lambda(sigma, max(n, 2), c_lambda) if sigma > 0 else _NOISELESS_PARAM
         res = solve_l0(y, lam)
         return res.segmentation.boundaries, {"lambda": res.lam}
     if tau is None:

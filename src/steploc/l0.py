@@ -347,10 +347,11 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
 DEFAULT_C_LAMBDA = 2.0
 
 
-def default_lambda(sigma: float, n, c_lambda: float = DEFAULT_C_LAMBDA) -> float:
-    """Penalty scale c * sigma^2 * log(n), with c = ``DEFAULT_C_LAMBDA`` by default.
+def default_lambda(sigma: float, n, c_lambda: float | None = None) -> float:
+    """Penalty scale c * sigma^2 * log(n), with c = ``DEFAULT_C_LAMBDA`` when ``c_lambda`` is None.
 
     A product that underflows to 0 or overflows raises ``ValueError``."""
+    c_lambda = DEFAULT_C_LAMBDA if c_lambda is None else c_lambda
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_lambda > 0:

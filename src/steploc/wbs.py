@@ -293,10 +293,11 @@ def bs_detect(y: np.ndarray, tau: float) -> DetectionResult:
 DEFAULT_C_TAU = 1.5
 
 
-def default_tau(sigma: float, n, c_tau: float = DEFAULT_C_TAU) -> float:
-    """Threshold scale c * sigma * sqrt(log(n)), with c = ``DEFAULT_C_TAU`` by default.
+def default_tau(sigma: float, n, c_tau: float | None = None) -> float:
+    """Threshold scale c * sigma * sqrt(log(n)), with c = ``DEFAULT_C_TAU`` when ``c_tau`` is None.
 
     A product that underflows to 0 or overflows raises ``ValueError``."""
+    c_tau = DEFAULT_C_TAU if c_tau is None else c_tau
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not c_tau > 0:

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steploc.experiments
+import steploc.l0
+import steploc.wbs
 from steploc import cli
 from steploc.cli import InputParseError, build_parser, main, read_series
 from steploc.cusum import scan_prefix
@@ -866,6 +868,45 @@ def test_a_nonpositive_multiplier_is_an_error_also_where_its_default_goes_unused
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"steploc: error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta-hint", "0"], "spacing must be an integer in [1, 40], got 0"),
+    (["--intervals", "-1"], "intervals must be a positive integer, got -1"),
+    (["--max-len", "1"], "max_len must be at least 2, got 1"),
+], ids=["delta-hint", "intervals", "max-len"])
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_rejects_a_bad_wbs_sizing_option_for_every_method(
+        series_files, capsys, method, flags, message):
+    assert main(["detect", "noise.txt", "--method", method, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steploc: error: {message}\n"
+
+
+@pytest.mark.parametrize("method, solver, key", [
+    ("l0", "solve_l0", "lambda"),
+    ("bs", "bs_detect", "tau"),
+])
+def test_each_default_multiplier_is_read_from_its_module_on_every_path(
+        series_files, capsys, monkeypatch, method, solver, key):
+    """detect, steploc detect and a harness replication all take an unset
+    multiplier from the one module constant, read at call time."""
+    monkeypatch.setattr(steploc.l0, "DEFAULT_C_LAMBDA", 3.0)
+    monkeypatch.setattr(steploc.wbs, "DEFAULT_C_TAU", 2.5)
+    sigma, log_n = 1.0, math.log(40)
+    expected = 3.0 * sigma * sigma * log_n if method == "l0" else 2.5 * sigma * math.sqrt(log_n)
+    y = np.loadtxt("noise.txt")
+    assert steploc.experiments.detect(y, method, sigma, seed=0)[1] == {key: expected}
+    assert main(["detect", "noise.txt", "--method", method, "--sigma", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {key: expected}
+    received = []
+    solve = getattr(steploc.experiments, solver)
+    monkeypatch.setattr(steploc.experiments, solver,
+                        lambda y, param: received.append(param) or solve(y, param))
+    assert main(["rate", "--n", "40", "--k", "1", "--kappa", "3", "--sigma", "1",
+                 "--method", method, "--reps", "1"]) == 0
+    assert received == [expected]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -294,6 +294,25 @@ def test_detect_resolves_the_noiseless_defaults():
         (20, 40), {"tau": 1e-12, "intervals": 3685, "max_len": None, "seed": 0})
 
 
+def test_detect_runs_l0_on_one_value_at_the_two_point_penalty():
+    # A one-value series has only the empty partition, so any penalty gives it.
+    assert detect(np.array([1.0]), "l0", 1.0, seed=0) == ((), {"lambda": 2.0 * math.log(2)})
+
+
+# tests/test_cli.py checks --delta-hint 0, --intervals -1 and --max-len 1.
+@pytest.mark.parametrize("changes, message", [
+    ({"spacing": 41}, "spacing must be an integer in [1, 40], got 41"),
+    ({"spacing": 2.5}, "spacing must be an integer in [1, 40], got 2.5"),
+    ({"spacing": 0, "intervals": 50}, "spacing must be an integer in [1, 40], got 0"),
+    ({"intervals": 3.0}, "intervals must be a positive integer, got 3.0"),
+])
+@pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
+def test_detect_checks_the_wbs_sizing_whether_used_or_not(method, changes, message):
+    y = np.repeat([0.0, 2.0], 20)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect(y, method, 1.0, seed=0, **changes)
+
+
 @pytest.mark.parametrize("method", ["l0", "bs", "wbs"])
 def test_the_harness_refuses_sigma_0_without_the_parameter(method):
     cfg = ExperimentConfig(n=60, method=method, sigma=0.0, base_seed=3, k=1, kappa=1.0)
