@@ -24,6 +24,8 @@ import sys
 
 import numpy as np
 
+import steploc.l0
+import steploc.wbs
 from steploc.experiments import (
     METHODS,
     ExperimentConfig,
@@ -231,10 +233,14 @@ def _add_method_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None, help="bs/wbs threshold")
     p.add_argument("--intervals", type=int, default=None, help="number of random intervals (wbs)")
     p.add_argument("--max-len", dest="max_len", type=int, default=None, help="interval length cap")
+    # An unset multiplier stays None; the help names the default that then
+    # applies, read from the module that owns it when the parser is built.
     p.add_argument("--c-lambda", dest="c_lambda", type=float,
-                   help="multiplier for the default penalty sigma^2 log n")
+                   help="multiplier for the default penalty sigma^2 log n "
+                        f"(default {steploc.l0.DEFAULT_C_LAMBDA:g})")
     p.add_argument("--c-tau", dest="c_tau", type=float,
-                   help="multiplier for the default threshold sigma sqrt(log n)")
+                   help="multiplier for the default threshold sigma sqrt(log n) "
+                        f"(default {steploc.wbs.DEFAULT_C_TAU:g})")
 
 
 def _add_signal_params(p: argparse.ArgumentParser, need_kappa: bool) -> None:
@@ -244,7 +250,8 @@ def _add_signal_params(p: argparse.ArgumentParser, need_kappa: bool) -> None:
     if need_kappa:
         p.add_argument("--kappa", type=float, default=None, help="jump size")
     p.add_argument("--sigma", type=float, required=True, help="noise scale")
-    p.add_argument("--family", choices=FAMILIES, help="noise family")
+    p.add_argument("--family", choices=FAMILIES,
+                   help=f"noise family (default {ExperimentConfig.family})")
 
 
 def _add_harness_params(p: argparse.ArgumentParser, grid_flag: str, **grid) -> None:

@@ -28,8 +28,10 @@ The one-window API, :func:`cusum_scan` with its result :class:`CusumScan`
 and :func:`argmax_abs`, scores every admissible split of one window in
 O(e - s) through the same kernel.  It checks its input with
 :func:`check_observations`, the package's one observation contract, which
-every other entry point imports from here.  The direct references the scan
-is checked against (the single-split statistic from slice sums, the
+every other entry point imports from here.  Beside it sits the one integer
+rule, :data:`INTEGER_TYPES` and :func:`check_integer`, which every count
+and position argument of the package passes.  The direct references the
+scan is checked against (the single-split statistic from slice sums, the
 contrast vector, the two-mean projection and the closed form at one change
 point) live in ``tests/oracles.py``; the scan must agree with them to 1e-10
 up to n = 1e6.
@@ -44,6 +46,8 @@ import numpy as np
 
 __all__ = [
     "CusumScan",
+    "INTEGER_TYPES",
+    "check_integer",
     "check_observations",
     "prefix_sums",
     "cusum_scan",
@@ -58,6 +62,19 @@ PASS_POINTS = 4096
 _STEPS = np.arange(PASS_POINTS)
 _STEPS_F = _STEPS.astype(np.float64)
 _STEPS.flags.writeable = _STEPS_F.flags.writeable = False
+
+
+# What every count and position argument may be: a Python or numpy integer.
+INTEGER_TYPES = (int, np.integer)
+
+
+def check_integer(value, low: int, high: int | None, message: str, *args) -> int:
+    """``value`` as a Python ``int`` if it is one of :data:`INTEGER_TYPES` in
+    ``[low, high]`` (no upper bound for None); otherwise ``ValueError`` with
+    ``message % args``, formatted only then."""
+    if isinstance(value, INTEGER_TYPES) and low <= value and (high is None or value <= high):
+        return int(value)
+    raise ValueError(message % args)
 
 
 def check_observations(y, n: int | None = None, least: int = 1) -> np.ndarray:
@@ -212,11 +229,11 @@ def scan_prefix(y: np.ndarray) -> np.ndarray:
 def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
     """All scan values of the window (s, e], computed in O(e - s)."""
     y = check_observations(y, least=2)
-    if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
+    if not (isinstance(s, INTEGER_TYPES) and isinstance(e, INTEGER_TYPES)):
         raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
     if not 0 <= s < e <= y.size:
         raise ValueError(f"window ({s}, {e}] out of range for n = {y.size}")
-    return CusumScan(s=s, e=e, values=_scan_values(scan_prefix(y), s, e))
+    return CusumScan(s=int(s), e=int(e), values=_scan_values(scan_prefix(y), s, e))
 
 
 def argmax_abs(scan: CusumScan) -> tuple[int, float]:

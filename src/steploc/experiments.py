@@ -13,6 +13,7 @@ the summary and the rate fractions are all computed from those rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from steploc.cusum import check_observations
+from steploc.cusum import check_integer, check_observations
 from steploc.l0 import default_lambda, solve_l0
 from steploc.metrics import localization_report
 from steploc.noise import NoiseSpec, check_seed, check_sigma, sample, subseed
@@ -71,7 +72,9 @@ class ExperimentConfig:
     each replication, except ``max_len``, which falls back to
     ``max(2, 2 * spacing)`` for the signal's minimal spacing; with
     ``sigma == 0`` a replication raises ``ValueError`` unless ``lam`` (l0)
-    or ``tau`` (bs, wbs) is given.
+    or ``tau`` (bs, wbs) is given.  ``n``, ``k``, ``delta``,
+    ``replications`` and ``base_seed`` are checked here and stored as
+    Python ints.
     """
 
     n: int
@@ -95,17 +98,20 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         NoiseSpec(self.family, self.sigma)
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications!r}")
-        check_seed(self.base_seed)
+        store = functools.partial(object.__setattr__, self)
+        store("replications", check_integer(self.replications, 1, None,
+                                            "replications must be >= 1, got %r", self.replications))
+        store("base_seed", check_seed(self.base_seed))
+        store("n", check_integer(self.n, 1, None, "n must be a positive integer, got %r", self.n))
         if self.signal is not None and self.signal.n != self.n:
             raise ValueError(f"explicit signal has n = {self.signal.n}, config says {self.n}")
         if self.signal is None and self.k is None and self.delta is None:
             raise ValueError("need an explicit signal, or k and/or delta")
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k!r}")
-        if self.delta is not None and not 1 <= self.delta <= self.n:
-            raise ValueError(f"delta must lie in [1, {self.n}], got {self.delta!r}")
+        if self.k is not None:
+            store("k", check_integer(self.k, 0, None, "k must be >= 0, got %r", self.k))
+        if self.delta is not None:
+            store("delta", check_integer(self.delta, 1, self.n, "delta must lie in [1, %s], got %r",
+                                         self.n, self.delta))
 
 
 @dataclass(frozen=True)
@@ -189,10 +195,12 @@ def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: in
             raise ValueError(f"{name} must be positive, got {c!r}")
     y = check_observations(y, least=1 if method == "l0" else 2)
     n = y.size
-    if spacing is not None and not (isinstance(spacing, int) and 1 <= spacing <= n):
-        raise ValueError(f"spacing must be an integer in [1, {n}], got {spacing!r}")
-    if intervals is not None and not (isinstance(intervals, int) and intervals >= 1):
-        raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
+    if spacing is not None:
+        spacing = check_integer(spacing, 1, n, "spacing must be an integer in [1, %s], got %r",
+                                n, spacing)
+    if intervals is not None:
+        intervals = check_integer(intervals, 1, None,
+                                  "intervals must be a positive integer, got %r", intervals)
     if max_len is not None and not max_len >= 2:
         raise ValueError(f"max_len must be at least 2, got {max_len!r}")
     if method == "l0":
@@ -211,7 +219,9 @@ def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: in
         raise ValueError(f"the default wbs interval count for n = {n} and spacing {spacing} is "
                          f"{m}, above {MAX_DEFAULT_INTERVALS}; give the count (--intervals)")
     res = wbs_detect(y, sample_intervals(n, m, seed, max_len=max_len), tau)
-    return res.change_points, {"tau": res.tau, "intervals": m, "max_len": max_len, "seed": seed}
+    # sample_intervals has checked the seed, so int() only converts a numpy one.
+    params = {"tau": res.tau, "intervals": m, "max_len": max_len, "seed": int(seed)}
+    return res.change_points, params
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> ExperimentRow:

@@ -89,12 +89,13 @@ the two work buffers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from steploc.cusum import check_observations, prefix_sums
+from steploc.cusum import INTEGER_TYPES, check_integer, check_observations, prefix_sums
 
 __all__ = [
     "Segmentation",
@@ -120,19 +121,22 @@ CHECK_CELLS = 2**15
 @dataclass(frozen=True)
 class Segmentation:
     """Interval partition of 1..n, stored as the right endpoints of all
-    segments except the last (equivalently: the induced change points)."""
+    segments except the last (equivalently: the induced change points).
+    ``n`` and the boundaries are stored as Python ints."""
 
     n: int
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        n = check_integer(self.n, 1, None, "n must be a positive integer, got %r", self.n)
+        object.__setattr__(self, "n", n)
         for b in self.boundaries:
-            if not isinstance(b, int) or not 1 <= b <= self.n - 1:
-                raise ValueError(f"boundary {b!r} outside [1, {self.n - 1}]")
+            if not isinstance(b, INTEGER_TYPES) or not 1 <= b <= n - 1:
+                raise ValueError(f"boundary {b!r} outside [1, {n - 1}]")
         if any(b <= a for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
+        # operator.index gives a Python int, at half the cost of int().
+        object.__setattr__(self, "boundaries", tuple(map(operator.index, self.boundaries)))
 
     @property
     def segment_count(self) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from steploc.cusum import INTEGER_TYPES
 from steploc.signal import PiecewiseSignal, evaluate
 
 __all__ = ["NoiseSpec", "FAMILIES", "check_sigma", "check_seed", "subseed", "generator", "sample"]
@@ -48,8 +49,8 @@ def check_sigma(sigma: float) -> None:
 
 
 def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)):
+    """A 64-bit unsigned seed, Python or numpy, as a Python ``int``."""
+    if not isinstance(seed, INTEGER_TYPES):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from steploc.cusum import INTEGER_TYPES, check_integer
 
 __all__ = [
     "PiecewiseSignal",
@@ -40,8 +43,8 @@ class PiecewiseSignal:
 
     ``change_points`` are strictly increasing integers in ``[1, n - 1]``;
     ``levels`` holds one value per segment (``K + 1`` in total) and adjacent
-    levels must differ exactly.  Instances are immutable and safe to share
-    across threads.
+    levels must differ exactly.  ``n`` and the change points are stored as
+    Python ints.  Instances are immutable and safe to share across threads.
     """
 
     n: int
@@ -49,14 +52,14 @@ class PiecewiseSignal:
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        n = check_integer(self.n, 1, None, "n must be a positive integer, got %r", self.n)
+        object.__setattr__(self, "n", n)
         cps = self.change_points
         for cp in cps:
-            if not isinstance(cp, int):
+            if not isinstance(cp, INTEGER_TYPES):
                 raise ValueError(f"change points must be integers, got {cp!r}")
-            if not 1 <= cp <= self.n - 1:
-                raise ValueError(f"change point {cp} outside [1, {self.n - 1}]")
+            if not 1 <= cp <= n - 1:
+                raise ValueError(f"change point {cp} outside [1, {n - 1}]")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError(f"change points must be strictly increasing, got {cps}")
         if len(self.levels) != len(cps) + 1:
@@ -69,6 +72,8 @@ class PiecewiseSignal:
         for k, (a, b) in enumerate(zip(self.levels, self.levels[1:])):
             if a == b:
                 raise ValueError(f"adjacent levels {k} and {k + 1} are equal ({a})")
+        # operator.index gives a Python int, at half the cost of int().
+        object.__setattr__(self, "change_points", tuple(map(operator.index, cps)))
 
     @property
     def k(self) -> int:
@@ -85,12 +90,8 @@ class PiecewiseSignal:
 
 
 def make_signal(n: int, change_points, levels) -> PiecewiseSignal:
-    """Validate and build a :class:`PiecewiseSignal` (numpy ints welcome)."""
-    return PiecewiseSignal(
-        n=int(n),
-        change_points=tuple(int(c) for c in change_points),
-        levels=tuple(float(v) for v in levels),
-    )
+    """Validate and build a :class:`PiecewiseSignal` from any sequences."""
+    return PiecewiseSignal(n, tuple(change_points), tuple(float(v) for v in levels))
 
 
 def evaluate(sig: PiecewiseSignal) -> np.ndarray:
@@ -128,10 +129,8 @@ def spike_signal(n: int, l: int, height: float) -> PiecewiseSignal:
     An interior spike has two change points at ``l - 1`` and ``l`` (so its
     minimal spacing is 1); a spike at either end has a single change point.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(l, int) or not 1 <= l <= n:
-        raise ValueError(f"spike position must lie in [1, {n}], got {l!r}")
+    n = check_integer(n, 2, None, "n must be an integer >= 2, got %r", n)
+    l = check_integer(l, 1, n, "spike position must lie in [1, %s], got %r", n, l)
     if height == 0:
         raise ValueError("spike height must be nonzero")
     h = float(height)
@@ -149,10 +148,9 @@ def two_point_pair(n: int, delta_spacing: int, shift: int, kappa: float):
     the second after ``delta_spacing + shift``.  Both are valid signals, so
     ``delta_spacing + shift`` must stay within ``[1, n - 1]``.
     """
-    if not isinstance(delta_spacing, int) or delta_spacing <= 0:
-        raise ValueError(f"delta_spacing must be a positive integer, got {delta_spacing!r}")
-    if not isinstance(shift, int) or shift <= 0:
-        raise ValueError(f"shift must be a positive integer, got {shift!r}")
+    delta_spacing = check_integer(delta_spacing, 1, None,
+                                  "delta_spacing must be a positive integer, got %r", delta_spacing)
+    shift = check_integer(shift, 1, None, "shift must be a positive integer, got %r", shift)
     if delta_spacing + shift > n - 1:
         raise ValueError(
             f"delta_spacing + shift = {delta_spacing + shift} exceeds n - 1 = {n - 1}"
@@ -174,4 +172,4 @@ def signal_to_json(sig: PiecewiseSignal) -> str:
 
 def signal_from_json(text: str) -> PiecewiseSignal:
     obj = json.loads(text)
-    return make_signal(int(obj["n"]), [int(c) for c in obj["change_points"]], obj["levels"])
+    return make_signal(obj["n"], obj["change_points"], obj["levels"])

@@ -52,8 +52,9 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from steploc.cusum import PASS_POINTS, _scan_values, check_observations, scan_prefix, scan_windows
-from steploc.noise import generator
+from steploc.cusum import (PASS_POINTS, _scan_values, check_integer, check_observations,
+                           scan_prefix, scan_windows)
+from steploc.noise import check_seed, generator
 
 __all__ = [
     "IntervalSet",
@@ -100,8 +101,7 @@ class IntervalSet:
         return ivals
 
     def _store(self, n, alphas: np.ndarray, betas: np.ndarray, seed, max_len) -> None:
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        n = check_integer(n, 2, None, "n must be an integer >= 2, got %r", n)
         # Copies that this set owns; an endpoint of 2**63 or more wraps
         # negative and fails the range check below.
         alphas, betas = alphas.astype(np.int64), betas.astype(np.int64)
@@ -185,14 +185,13 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     wrapping around.  The kept ends stay ``int64`` arrays and become the
     set's ``alphas`` and ``betas`` through :meth:`IntervalSet.from_arrays`.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    n = check_integer(n, 2, None, "n must be an integer >= 2, got %r", n)
+    m = check_integer(m, 1, None, "m must be a positive integer, got %r", m)
     if max_len is not None and max_len < 2:
         raise ValueError(f"max_len must be at least 2, got {max_len!r}")
     # Every drawn length b - a is at most n, so a max_len above n admits as n does.
     cap = n if max_len is None else min(max_len, n)
+    seed = check_seed(seed)
     rng = generator(seed)
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
@@ -314,9 +313,7 @@ def default_tau(sigma: float, n, c_tau: float | None = None) -> float:
 def min_intervals(n: int, delta: int) -> int:
     """Number of random intervals that makes every change point straddled
     with high probability: ceil(16 (n/delta)^2 log(max(n/delta, e)))."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(delta, int) or not 1 <= delta <= n:
-        raise ValueError(f"delta must lie in [1, {n}], got {delta!r}")
+    n = check_integer(n, 1, None, "n must be a positive integer, got %r", n)
+    delta = check_integer(delta, 1, n, "delta must lie in [1, %s], got %r", n, delta)
     ratio = n / delta
     return math.ceil(16.0 * ratio * ratio * math.log(max(ratio, math.e)))

@@ -148,6 +148,20 @@ def test_sweep_one_row_per_grid_point(tmp_path):
     assert doc["rows"] == 3
 
 
+def test_sweep_summary_is_the_summary_of_its_rows(tmp_path, capsys):
+    argv = ["sweep", "--n", "120", "--k", "1", "--sigma", "1.0", "--method", "wbs",
+            "--snr-grid", "2,8", "--reps", "3", "--seed", "5"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    summary = tmp_path / "summary.json"
+    assert main([*argv, "--summary", str(summary)]) == 0
+    assert capsys.readouterr().out == plain
+    base = steploc.experiments.ExperimentConfig(n=120, k=1, sigma=1.0, method="wbs", base_seed=5,
+                                                replications=3)
+    rows = steploc.experiments.sweep_snr(base, [2.0, 8.0], reps=3)
+    assert summary.read_text() == json_dumps(steploc.experiments.summarize(base, rows)) + "\n"
+
+
 def test_rate_subcommand(tmp_path):
     summary = tmp_path / "rate.json"
     proc = run_cli("rate", "--n", "200", "--k", "1", "--kappa", "2", "--sigma", "1.0",
@@ -907,6 +921,26 @@ def test_each_default_multiplier_is_read_from_its_module_on_every_path(
     assert main(["rate", "--n", "40", "--k", "1", "--kappa", "3", "--sigma", "1",
                  "--method", method, "--reps", "1"]) == 0
     assert received == [expected]
+
+
+@pytest.mark.parametrize("command", ["detect", "rate"])
+def test_help_states_the_default_multipliers_and_family(capsys, monkeypatch, command):
+    def help_text():
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    text = help_text()
+    c_lambda = "--c-lambda C_LAMBDA multiplier for the default penalty sigma^2 log n (default 2)"
+    c_tau = "--c-tau C_TAU multiplier for the default threshold sigma sqrt(log n) (default 1.5)"
+    family = "--family {gaussian,uniform,rademacher} noise family (default gaussian)"
+    assert c_lambda in text and c_tau in text
+    assert (family in text) == (command == "rate")
+    # The defaults are read from the modules that own them when the parser is built.
+    monkeypatch.setattr(steploc.l0, "DEFAULT_C_LAMBDA", 3.0)
+    monkeypatch.setattr(steploc.wbs, "DEFAULT_C_TAU", 2.5)
+    text = help_text()
+    assert "log n (default 3)" in text and "sqrt(log n) (default 2.5)" in text
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -57,6 +57,8 @@ def test_equal_adjacent_levels_rejected():
         (4, [0], [0, 1]),  # out of range
         (4, [2], [0, 1, 2]),  # level count mismatch
         (0, [], [1]),  # bad n
+        (4.5, [2], [0, 1]),  # fractional n, not truncated
+        (4, [2.0], [0, 1]),  # float change point, not truncated
         (4, [2], [0, math.inf]),  # non-finite level
     ],
 )
