@@ -60,6 +60,11 @@ MAX_DEFAULT_INTERVALS = 2**20
 _NOISELESS_PARAM = 1e-12
 
 
+def _check_intervals(m) -> int:
+    """The wbs interval count ``m`` as a Python int, if it is one >= 1."""
+    return check_integer(m, 1, None, "intervals must be a positive integer, got %r", m)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo scenario.
@@ -73,8 +78,8 @@ class ExperimentConfig:
     ``max(2, 2 * spacing)`` for the signal's minimal spacing; with
     ``sigma == 0`` a replication raises ``ValueError`` unless ``lam`` (l0)
     or ``tau`` (bs, wbs) is given.  ``n``, ``k``, ``delta``,
-    ``replications`` and ``base_seed`` are checked here and stored as
-    Python ints.
+    ``replications``, ``base_seed`` and a given ``intervals`` are checked
+    here and stored as Python ints.
     """
 
     n: int
@@ -112,6 +117,8 @@ class ExperimentConfig:
         if self.delta is not None:
             store("delta", check_integer(self.delta, 1, self.n, "delta must lie in [1, %s], got %r",
                                          self.n, self.delta))
+        if self.intervals is not None:
+            store("intervals", _check_intervals(self.intervals))
 
 
 @dataclass(frozen=True)
@@ -199,8 +206,7 @@ def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: in
         spacing = check_integer(spacing, 1, n, "spacing must be an integer in [1, %s], got %r",
                                 n, spacing)
     if intervals is not None:
-        intervals = check_integer(intervals, 1, None,
-                                  "intervals must be a positive integer, got %r", intervals)
+        intervals = _check_intervals(intervals)
     if max_len is not None and not max_len >= 2:
         raise ValueError(f"max_len must be at least 2, got {max_len!r}")
     if method == "l0":

@@ -40,14 +40,22 @@ interval of some checked row j, where start j is strictly cheaper.  Its
 cost, f_i at its own mean, is then strictly above start j's cost, so it is
 never again a minimum, not even a tied one, and it is dropped.
 
+The prefix sums (:func:`segment_prefix`) are those of z = y - c, where c
+is the mean of y if every difference y_t - c is exact, and 0 otherwise.
+By Sterbenz's lemma it is exact when y_t lies within a factor 2 of c, so
+c is 0 on every series that straddles zero, which is summed as it is.  A
+segment's SSE is the same for z as for y, and a common offset no longer
+cancels the digits of the sums; ``fitted`` adds c back to z's segment
+means.  A far-from-zero series with one value near 0 is summed unshifted.
+
 Both rules hold exactly for the stored prefix sums, and each computed cost
-is within about 20u X of its value there, with u = 2^-53 and X = n max(y^2)
+is within about 20u X of its value there, with u = 2^-53 and X = n max(z^2)
 + lam.  So both compare against best + lam + 2^-44 X, five times the
 margin that the argument needs, and two intervals must miss each other by
-more than 2^-44 max|y| to count as disjoint: a start that ties or nearly
-ties is kept.  Where the rounding of the prefix
-sums exceeds lam (a small lam on series offset by 1e7) the margin keeps
-more starts, and the result stays that of the full recursion.
+more than 2^-44 max|z| to count as disjoint: a start that ties or nearly
+ties is kept.  Where the rounding of the prefix sums exceeds lam (lam far
+below 2^-44 n max(z^2)) the margin keeps more starts, and the result stays
+that of the full recursion.
 
 The rows are solved a block at a time, so that each numpy call covers many
 rows.  A block of rows lo..hi-1 has two kinds of candidate starts:
@@ -157,15 +165,40 @@ class L0Result:
 
 
 class SegmentPrefix(NamedTuple):
-    """Prefix sums of y and y**2 (compensated), each of length n + 1."""
+    """Prefix sums of z = y - shift and z**2 (compensated), each of length n + 1."""
 
     s1: np.ndarray
     s2: np.ndarray
 
 
+def _shift(y: np.ndarray) -> float:
+    """The mean of ``y`` if every ``v - mean`` is exact by Sterbenz's lemma
+    (``mean / 2 <= v <= 2 mean``, mirrored for a negative mean), else 0."""
+    if not y.size:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(y.mean())
+    lo, hi = float(y.min()), float(y.max())
+    if mean < 0:
+        lo, hi = -hi, -lo
+    return mean if abs(mean) / 2 <= lo and hi <= 2 * abs(mean) else 0.0
+
+
 def segment_prefix(y: np.ndarray) -> SegmentPrefix:
+    """Prefix sums of ``y`` less its exact shift (``_shift``), which give each
+    segment the SSE of ``y`` without cancelling a common offset's digits;
+    ``ValueError`` if a squared segment sum of ``y`` itself could overflow."""
     y = np.asarray(y, dtype=np.float64)
-    return SegmentPrefix(prefix_sums(y), prefix_sums(y * y))
+    shift = _shift(y)
+    z = y - shift if shift else y
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = prefix_sums(z * z)
+        # The sum of squares of y itself: s2's total when nothing is shifted.
+        squares = float(np.dot(y, y)) if shift else float(s2[-1])
+    # A squared segment sum is at most n times the sum of squares.
+    if not math.isfinite(2.0 * y.size * squares):
+        raise ValueError("observations too large: their sum of squares overflows")
+    return SegmentPrefix(prefix_sums(z), s2)
 
 
 def segment_cost(prefix: SegmentPrefix, i: int, j: int) -> float:
@@ -196,11 +229,8 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = segment_prefix(y)
-    # A squared segment sum is at most n times the sum of squares.
-    if not math.isfinite(2.0 * n * float(s2[-1])):
-        raise ValueError("observations too large: their sum of squares overflows")
+    shift = _shift(y)
+    s1, s2 = segment_prefix(y)
     best = np.empty(n + 1, dtype=np.float64)
     best[0] = 0.0
     parent = np.zeros(n + 1, dtype=np.int64)
@@ -218,7 +248,7 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     # margins of the pruning rules.
     mu_lo = np.full(n + 1, -np.inf)
     mu_hi = np.full(n + 1, np.inf)
-    amax = float(np.max(np.abs(y)))
+    amax = max(float(y.max()) - shift, shift - float(y.min()))
     lam_tol = lam + 2.0**-44 * (n * amax * amax + lam)
     mean_tol = 2.0**-44 * amax
     lo = 1
@@ -343,6 +373,8 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     edges = np.array((0,) + seg.boundaries + (n,))
     lengths = np.diff(edges)
     fitted = np.repeat((s1[edges[1:]] - s1[edges[:-1]]) / lengths, lengths)
+    if shift:
+        fitted += shift
 
     return L0Result(segmentation=seg, objective=float(best[n]), fitted=fitted, lam=float(lam))
 

@@ -82,6 +82,8 @@ ENTRY_POINTS = {
     "PiecewiseSignal": lambda v: _signals(PiecewiseSignal(v(10), (v(3), v(7)), (0.0, 1.0, 0.0))),
     "Segmentation": _segmentation,
     "ExperimentConfig": _config,
+    "ExperimentConfig.intervals": lambda v: (ExperimentConfig(
+        n=60, method="wbs", sigma=1.0, base_seed=3, k=1, kappa=2.0, intervals=v(50)).intervals,),
     "cusum_scan": _scanned,
     "check_seed": lambda v: (check_seed(v(7)),),
 }
@@ -100,6 +102,7 @@ def test_numpy_integers_are_accepted_and_kept_as_python_ints(entry, dtype):
     ("k", 2.0, "k must be >= 0, got 2.0"),
     ("delta", 25.0, "delta must lie in [1, 100], got 25.0"),
     ("replications", 3.0, "replications must be >= 1, got 3.0"),
+    ("intervals", 50.0, "intervals must be a positive integer, got 50.0"),
 ])
 def test_config_rejects_a_fractional_count_on_entry(field, value, message):
     args = dict(n=100, method="l0", sigma=1.0, base_seed=0, k=2, kappa=1.0)

@@ -15,6 +15,8 @@ from oracles import (
     sse_direct,
 )
 from steploc import l0
+from steploc.cusum import prefix_sums
+from steploc.experiments import detect
 from steploc.l0 import (
     L0Result,
     Segmentation,
@@ -473,7 +475,6 @@ def test_solve_reaches_the_exact_minimum():
         assert exact_partition_objective(y, boundaries, lam) == exact_l0_minimum(y, lam)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_solve_reaches_the_exact_minimum_far_from_zero():
     # The same series offset by 1e8, where the raw prefix sums lose the
     # within-segment variance to cancellation.
@@ -481,6 +482,41 @@ def test_solve_reaches_the_exact_minimum_far_from_zero():
         y = y + 1e8
         boundaries = solve_l0(y, lam).segmentation.boundaries
         assert exact_partition_objective(y, boundaries, lam) == exact_l0_minimum(y, lam)
+
+
+def test_solve_splits_a_tiny_alternation_far_from_zero():
+    # Raw prefix sums around 1e6 cancel a variance of 2.5e-7 per point:
+    # they returned no boundary and objective 0.0.
+    y = 1e6 + (np.arange(100) % 2) * 0.001
+    res = solve_l0(y, 1e-9)
+    boundaries = res.segmentation.boundaries
+    assert len(boundaries) == 99
+    assert exact_partition_objective(y, boundaries, 1e-9) == exact_l0_minimum(y, 1e-9)
+    # Each point is its own segment, and the shift is added back exactly.
+    assert res.fitted.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e6, 1e7, 1e8])
+def test_detect_finds_the_steps_at_any_offset(offset):
+    # Means 0/2/0/2 in quarters of 8000 points, sigma = 1: at 1e7 the raw
+    # prefix sums gave seven change points, at 1e8 one.
+    rng = np.random.default_rng(0)
+    y = np.repeat([0.0, 2.0, 0.0, 2.0], 2000) + rng.normal(size=8000) + offset
+    assert detect(y, "l0", 1.0, seed=0)[0] == (2000, 4000, 6001)
+
+
+@pytest.mark.parametrize("y", [
+    np.random.default_rng(3).normal(size=500) * 4 + 1,
+    np.array([-1e7, 1e7, 1e7 + 1]),
+    # Far from zero but with one value near 0: the mean is not within a
+    # factor 2 of it, so nothing is shifted.
+    np.concatenate([np.full(50, 1e7), [0.5]]),
+    np.array([]),
+])
+def test_segment_prefix_leaves_a_series_that_reaches_zero_unshifted(y):
+    s1, s2 = segment_prefix(y)
+    assert s1.tobytes() == prefix_sums(y).tobytes()
+    assert s2.tobytes() == prefix_sums(y * y).tobytes()
 
 
 def test_oracle_helpers_agree():
