@@ -44,7 +44,8 @@ from steploc.serialize import fmt_float, json_dumps
 from steploc.signal import signal_to_json
 
 # Unused here, but perfbench/tracing.py wraps them in this module (ROADMAP: "One instrument").
-from steploc.experiments import bs_detect, sample_intervals, solve_l0, wbs_detect  # noqa: F401
+from steploc.l0 import solve_l0  # noqa: F401
+from steploc.wbs import bs_detect, sample_intervals, wbs_detect  # noqa: F401
 
 __all__ = ["main", "read_series", "InputParseError"]
 

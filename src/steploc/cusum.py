@@ -24,34 +24,30 @@ scalars and reads its prefix sums as a view.  ``_scan_values(prefix, s, e)``
 is the one-window case, which the binary-segmentation recursion in
 ``steploc.wbs`` calls beside the kernel itself.
 
-The one-window API, :func:`cusum_scan` with its result :class:`CusumScan`
-and :func:`argmax_abs`, scores every admissible split of one window in
-O(e - s) through the same kernel.  It checks its input with
-:func:`check_observations`, the package's one observation contract, which
-every other entry point imports from here.  Beside it sits the one integer
-rule, :data:`INTEGER_TYPES` and :func:`check_integer`, which every count
-and position argument of the package passes.  The direct references the
-scan is checked against (the single-split statistic from slice sums, the
-contrast vector, the two-mean projection and the closed form at one change
-point) live in ``tests/oracles.py``; the scan must agree with them to 1e-10
-up to n = 1e6.
+The package's one observation contract, :func:`check_observations`, and
+its one integer rule, :data:`INTEGER_TYPES` and :func:`check_integer`,
+live here too: every entry point checks its observations and every count
+and position argument with them.  The direct references the scan is
+checked against (the single-split statistic from slice sums, the contrast
+vector, the two-mean projection and the closed form at one change point)
+live in ``tests/oracles.py``; the scan must agree with them to 1e-10 up to
+n = 1e6.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CusumScan",
+    "PASS_POINTS",
     "INTEGER_TYPES",
     "check_integer",
     "check_observations",
     "prefix_sums",
-    "cusum_scan",
-    "argmax_abs",
+    "scan_prefix",
+    "scan_windows",
 ]
 
 # Splits scored per slice of a scan, and per numpy pass at one recursion
@@ -111,30 +107,6 @@ def prefix_sums(y: np.ndarray) -> np.ndarray:
     if resid.any():
         out[1:] += resid.cumsum(out=resid)
     return out
-
-
-@dataclass(frozen=True)
-class CusumScan:
-    """Scan values for every admissible split of one window.
-
-    ``values[i]`` holds the statistic at split ``t = s + 1 + i``, for
-    ``t`` in ``{s+1, ..., e-1}``.
-    """
-
-    s: int
-    e: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.e - self.s < 2:
-            raise ValueError(f"window ({self.s}, {self.e}] has no admissible split")
-        if len(self.values) != self.e - self.s - 1:
-            raise ValueError(
-                f"expected {self.e - self.s - 1} values for window ({self.s}, {self.e}], "
-                f"got {len(self.values)}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scan values must be finite")
 
 
 def scan_windows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -224,19 +196,3 @@ def scan_prefix(y: np.ndarray) -> np.ndarray:
     if not np.isfinite(bound):
         raise ValueError("observations too large: their partial sums overflow")
     return prefix
-
-
-def cusum_scan(y: np.ndarray, s: int, e: int) -> CusumScan:
-    """All scan values of the window (s, e], computed in O(e - s)."""
-    y = check_observations(y, least=2)
-    if not (isinstance(s, INTEGER_TYPES) and isinstance(e, INTEGER_TYPES)):
-        raise ValueError(f"window endpoints must be integers, got ({s!r}, {e!r})")
-    if not 0 <= s < e <= y.size:
-        raise ValueError(f"window ({s}, {e}] out of range for n = {y.size}")
-    return CusumScan(s=int(s), e=int(e), values=_scan_values(scan_prefix(y), s, e))
-
-
-def argmax_abs(scan: CusumScan) -> tuple[int, float]:
-    """Split with the largest absolute scan value; smallest split on ties."""
-    i = int(np.argmax(np.abs(scan.values)))
-    return scan.s + 1 + i, float(abs(scan.values[i]))

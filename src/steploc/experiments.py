@@ -65,6 +65,11 @@ def _check_intervals(m) -> int:
     return check_integer(m, 1, None, "intervals must be a positive integer, got %r", m)
 
 
+def _check_max_len(max_len) -> int:
+    """The wbs interval length cap as a Python int, if it is one >= 2."""
+    return check_integer(max_len, 2, None, "max_len must be at least 2, got %r", max_len)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo scenario.
@@ -78,8 +83,8 @@ class ExperimentConfig:
     ``max(2, 2 * spacing)`` for the signal's minimal spacing; with
     ``sigma == 0`` a replication raises ``ValueError`` unless ``lam`` (l0)
     or ``tau`` (bs, wbs) is given.  ``n``, ``k``, ``delta``,
-    ``replications``, ``base_seed`` and a given ``intervals`` are checked
-    here and stored as Python ints.
+    ``replications``, ``base_seed`` and a given ``intervals`` and
+    ``max_len`` are checked here and stored as Python ints.
     """
 
     n: int
@@ -119,6 +124,8 @@ class ExperimentConfig:
                                          self.n, self.delta))
         if self.intervals is not None:
             store("intervals", _check_intervals(self.intervals))
+        if self.max_len is not None:
+            store("max_len", _check_max_len(self.max_len))
 
 
 @dataclass(frozen=True)
@@ -207,8 +214,8 @@ def detect(y, method: str, sigma: float, *, spacing: int | None = None, seed: in
                                 n, spacing)
     if intervals is not None:
         intervals = _check_intervals(intervals)
-    if max_len is not None and not max_len >= 2:
-        raise ValueError(f"max_len must be at least 2, got {max_len!r}")
+    if max_len is not None:
+        max_len = _check_max_len(max_len)
     if method == "l0":
         if lam is None:
             lam = default_lambda(sigma, max(n, 2), c_lambda) if sigma > 0 else _NOISELESS_PARAM

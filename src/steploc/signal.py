@@ -29,7 +29,6 @@ __all__ = [
     "spike_signal",
     "two_point_pair",
     "signal_to_json",
-    "signal_from_json",
 ]
 
 
@@ -168,8 +167,3 @@ def signal_to_json(sig: PiecewiseSignal) -> str:
     return json.dumps(
         {"n": sig.n, "change_points": list(sig.change_points), "levels": list(sig.levels)}
     )
-
-
-def signal_from_json(text: str) -> PiecewiseSignal:
-    obj = json.loads(text)
-    return make_signal(obj["n"], obj["change_points"], obj["levels"])

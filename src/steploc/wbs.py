@@ -187,8 +187,8 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
     """
     n = check_integer(n, 2, None, "n must be an integer >= 2, got %r", n)
     m = check_integer(m, 1, None, "m must be a positive integer, got %r", m)
-    if max_len is not None and max_len < 2:
-        raise ValueError(f"max_len must be at least 2, got {max_len!r}")
+    if max_len is not None:
+        max_len = check_integer(max_len, 2, None, "max_len must be at least 2, got %r", max_len)
     # Every drawn length b - a is at most n, so a max_len above n admits as n does.
     cap = n if max_len is None else min(max_len, n)
     seed = check_seed(seed)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from oracles import brute_force_l0, contrast, cusum, project, single_cp_cusum
-from steploc.cusum import cusum_scan
+from steploc.cusum import _scan_values, scan_prefix
 from steploc.experiments import ExperimentConfig, run_experiment
 from steploc.l0 import segment_cost, segment_prefix, solve_l0
 from steploc.signal import evaluate, make_signal, spike_signal, two_point_pair
@@ -228,8 +228,7 @@ def test_criterion_7_bs_cancellation_characterization():
     y = evaluate(sig)
     spacing = L
 
-    scan = cusum_scan(y, 0, 3 * L)
-    b_root = scan.s + 1 + int(np.argmax(np.abs(scan.values)))
+    b_root = 1 + int(np.argmax(np.abs(_scan_values(scan_prefix(y), 0, 3 * L))))
     root_far_from_truth = min(abs(b_root - L), abs(b_root - 2 * L)) > spacing / 4
 
     straddlers = IntervalSet(

@@ -8,23 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import contrast, cusum, cusum_direct, project, single_cp_cusum
-from steploc.cusum import (
-    PASS_POINTS,
-    CusumScan,
-    _scan_values,
-    argmax_abs,
-    cusum_scan,
-    prefix_sums,
-    scan_prefix,
-    scan_windows,
-)
+from steploc.cusum import PASS_POINTS, _scan_values, prefix_sums, scan_prefix, scan_windows
 from steploc.signal import evaluate, make_signal
+
+
+def _scan(y, s, e):
+    """Scan values of the one window (s, e] of ``y``, through the detectors' kernel."""
+    return _scan_values(scan_prefix(y), s, e)
 
 
 def test_constant_input_gives_zero():
     y = np.full(9, 3.25)
     assert cusum(y, 0, 9, 4) == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(cusum_scan(y, 2, 8).values, 0.0, atol=1e-12)
+    assert np.allclose(_scan(y, 2, 8), 0.0, atol=1e-12)
 
 
 def test_pointwise_examples():
@@ -35,8 +31,7 @@ def test_pointwise_examples():
 
 def test_scan_example():
     y = np.array([0.0, 0.0, 2.0, 2.0])
-    scan = cusum_scan(y, 0, 4)
-    assert scan.values == pytest.approx([-4 / math.sqrt(12), -2.0, -4 / math.sqrt(12)])
+    assert _scan(y, 0, 4) == pytest.approx([-4 / math.sqrt(12), -2.0, -4 / math.sqrt(12)])
 
 
 def test_index_validation():
@@ -47,20 +42,6 @@ def test_index_validation():
         cusum(y, 0, 7, 3)
     with pytest.raises(ValueError):
         cusum(y, 1, 4, 4)
-    with pytest.raises(ValueError):
-        cusum_scan(y, 3, 4)
-
-
-def test_argmax_tie_breaks_to_smallest_split():
-    scan = CusumScan(s=2, e=6, values=np.zeros(3))
-    assert argmax_abs(scan) == (3, 0.0)
-    scan = CusumScan(s=0, e=4, values=np.array([-1.0, 3.0, -3.0]))
-    assert argmax_abs(scan) == (2, 3.0)
-
-
-def test_argmax_from_scan_example():
-    y = np.array([0.0, 0.0, 2.0, 2.0])
-    assert argmax_abs(cusum_scan(y, 0, 4)) == (2, pytest.approx(2.0))
 
 
 @pytest.mark.parametrize("s,d,e", [(0, 1, 2), (0, 3, 7), (2, 5, 11), (1, 2, 30)])
@@ -106,9 +87,9 @@ def test_scan_matches_pointwise(seed):
     y = rng.normal(size=n) * rng.choice([0.1, 1.0, 10.0])
     s = int(rng.integers(0, n - 1))
     e = int(rng.integers(s + 2, n + 1))
-    scan = cusum_scan(y, s, e)
+    scan = _scan(y, s, e)
     for t in range(s + 1, e):
-        assert scan.values[t - s - 1] == pytest.approx(cusum(y, s, e, t), abs=1e-10)
+        assert scan[t - s - 1] == pytest.approx(cusum(y, s, e, t), abs=1e-10)
         assert cusum(y, s, e, t) == pytest.approx(cusum_direct(y, s, e, t), abs=1e-10)
 
 
@@ -121,7 +102,7 @@ def test_scan_windows_concatenates_single_window_scans(seed):
     lo = rng.integers(0, n - 1, size=int(rng.integers(1, 6)))
     hi = np.array([int(rng.integers(s + 2, n + 1)) for s in lo])
     values = scan_windows(scan_prefix(y), lo, hi)
-    expected = np.concatenate([cusum_scan(y, int(s), int(e)).values for s, e in zip(lo, hi)])
+    expected = np.concatenate([_scan(y, int(s), int(e)) for s, e in zip(lo, hi)])
     assert values.tobytes() == expected.tobytes()
 
 
@@ -159,8 +140,8 @@ def test_location_scale_equivariance():
             assert cusum(a * y + b, 4, 110, t) == pytest.approx(
                 a * cusum(y, 4, 110, t), rel=1e-9, abs=1e-9
             )
-    scan0 = cusum_scan(y, 0, 120).values
-    scan1 = cusum_scan(y + 7.5, 0, 120).values
+    scan0 = _scan(y, 0, 120)
+    scan1 = _scan(y + 7.5, 0, 120)
     assert np.max(np.abs(scan0 - scan1)) < 1e-10
 
 
@@ -194,7 +175,7 @@ def test_straddling_interval_lower_bound(c1):
         s = eta - margin
         e = eta + margin
         f = evaluate(sig)
-        peak = float(np.max(np.abs(cusum_scan(f, s, e).values)))
+        peak = float(np.max(np.abs(_scan(f, s, e))))
         assert peak >= (c1 / 2) * kappa * delta / math.sqrt(e - s) - 1e-9
 
 
@@ -203,10 +184,10 @@ def test_long_series_precision():
     rng = np.random.default_rng(3)
     n = 1_000_000
     y = rng.normal(size=n)
-    scan = cusum_scan(y, 0, n)
+    scan = _scan(y, 0, n)
     for t in rng.integers(1, n - 1, size=40):
         t = int(t)
-        assert abs(scan.values[t - 1] - cusum(y, 0, n, t)) < 1e-10
+        assert abs(scan[t - 1] - cusum(y, 0, n, t)) < 1e-10
 
 
 def test_prefix_sums_compensation():
@@ -217,13 +198,6 @@ def test_prefix_sums_compensation():
         assert p[idx] == pytest.approx(math.fsum(y[:idx].tolist()), abs=1e-10)
 
 
-def test_scan_validates_finite_values():
-    with pytest.raises(ValueError):
-        CusumScan(s=0, e=4, values=np.array([1.0, np.nan, 2.0]))
-    with pytest.raises(ValueError):
-        CusumScan(s=0, e=4, values=np.array([1.0, 2.0]))
-
-
 @pytest.mark.parametrize("y", [
     [1e308] * 4 + [-1e308] * 4,  # the mean overflows
     [1e308, -1e308, -1e308, 1e308],  # finite prefix sums, a window sum overflows
@@ -232,7 +206,7 @@ def test_scan_validates_finite_values():
 def test_scan_rejects_observations_whose_partial_sums_overflow(y):
     # With warnings as errors, the check must also keep numpy quiet.
     with pytest.raises(ValueError, match=re.escape("observations too large: their partial sums overflow")):
-        cusum_scan(y, 0, len(y))
+        scan_prefix(y)
 
 
 def test_steploc_cusum_is_the_module():
@@ -277,13 +251,3 @@ def test_one_window_scan_holds_no_length_n_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes + 16 * PASS_POINTS * 8
-
-
-@pytest.mark.parametrize("s, e, message", [
-    (0.0, 4, "window endpoints must be integers, got (0.0, 4)"),
-    (0, 7, "window (0, 7] out of range for n = 6"),
-    (4, 4, "window (4, 4] out of range for n = 6"),
-], ids=["float", "past-n", "empty"])
-def test_cusum_scan_checks_its_window(s, e, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        cusum_scan(np.arange(6.0), s, e)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from steploc.cusum import argmax_abs, check_integer, cusum_scan
+from steploc.cusum import check_integer
 from steploc.experiments import ExperimentConfig, detect, run_experiment, summarize
 from steploc.l0 import Segmentation
 from steploc.noise import check_seed
@@ -40,8 +40,8 @@ def _interval_set(v):
 
 
 def _sampled(v):
-    ivals = sample_intervals(v(10), v(3), v(1))
-    return ivals.n, len(ivals.intervals), ivals.seed
+    ivals = sample_intervals(v(10), v(3), v(1), max_len=v(5))
+    return ivals.n, len(ivals.intervals), ivals.seed, ivals.max_len
 
 
 def _detected(v):
@@ -65,11 +65,6 @@ def _config(v):
     return cfg.n, cfg.k, cfg.delta, cfg.replications, cfg.base_seed
 
 
-def _scanned(v):
-    scan = cusum_scan(np.repeat([0.0, 1.0], 4), v(1), v(7))
-    return scan.s, scan.e, argmax_abs(scan)[0]
-
-
 # Each entry point, called with every count and position built by ``v``;
 # each returns what it stored or returned for them.
 ENTRY_POINTS = {
@@ -77,6 +72,8 @@ ENTRY_POINTS = {
     "sample_intervals": _sampled,
     "min_intervals": lambda v: (min_intervals(v(50), v(5)),),
     "detect": _detected,
+    "detect.max_len": lambda v: (detect(np.repeat([0.0, 2.0], 10), "wbs", 0.0, intervals=40, seed=3,
+                                        max_len=v(10))[1]["max_len"],),
     "spike_signal": lambda v: _signals(spike_signal(v(10), v(4), 1.0)),
     "two_point_pair": lambda v: _signals(*two_point_pair(10, v(3), v(2), 1.0)),
     "PiecewiseSignal": lambda v: _signals(PiecewiseSignal(v(10), (v(3), v(7)), (0.0, 1.0, 0.0))),
@@ -84,7 +81,8 @@ ENTRY_POINTS = {
     "ExperimentConfig": _config,
     "ExperimentConfig.intervals": lambda v: (ExperimentConfig(
         n=60, method="wbs", sigma=1.0, base_seed=3, k=1, kappa=2.0, intervals=v(50)).intervals,),
-    "cusum_scan": _scanned,
+    "ExperimentConfig.max_len": lambda v: (ExperimentConfig(
+        n=60, method="wbs", sigma=1.0, base_seed=3, k=1, kappa=2.0, max_len=v(50)).max_len,),
     "check_seed": lambda v: (check_seed(v(7)),),
 }
 
@@ -103,6 +101,7 @@ def test_numpy_integers_are_accepted_and_kept_as_python_ints(entry, dtype):
     ("delta", 25.0, "delta must lie in [1, 100], got 25.0"),
     ("replications", 3.0, "replications must be >= 1, got 3.0"),
     ("intervals", 50.0, "intervals must be a positive integer, got 50.0"),
+    ("max_len", 2.5, "max_len must be at least 2, got 2.5"),
 ])
 def test_config_rejects_a_fractional_count_on_entry(field, value, message):
     args = dict(n=100, method="l0", sigma=1.0, base_seed=0, k=2, kappa=1.0)
@@ -111,9 +110,10 @@ def test_config_rejects_a_fractional_count_on_entry(field, value, message):
 
 
 def test_a_config_of_numpy_integers_summarizes_as_one_of_python_ints():
-    def summary(v):
-        cfg = ExperimentConfig(n=v(60), method="l0", sigma=1.0, base_seed=v(3), replications=v(2),
-                               k=v(1), delta=v(30), kappa=2.0)
+    def summary(v, method, **wbs):
+        cfg = ExperimentConfig(n=v(60), method=method, sigma=1.0, base_seed=v(3), replications=v(2),
+                               k=v(1), delta=v(30), kappa=2.0, **wbs)
         return json_dumps(summarize(cfg, run_experiment(cfg)))
 
-    assert summary(np.int64) == summary(int)
+    assert summary(np.int64, "l0") == summary(int, "l0")
+    assert summary(np.int64, "wbs", max_len=np.int64(50)) == summary(int, "wbs", max_len=50)

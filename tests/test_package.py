@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -43,3 +45,17 @@ def test_only_steploc_cusum_states_what_an_integer_is():
             for path in src.glob("*.py")}
     assert {name: found for name, found in said.items() if found} == {
         "cusum.py": ["np.integer"], "serialize.py": ["isinstance(obj, int)"]}
+
+
+def test_steploc_imports_only_exported_names():
+    # One import path per name: a module takes each public name it imports
+    # from another steploc module from that module's __all__.
+    src = Path(steploc.cusum.__file__).parent
+    unexported = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("steploc."):
+                exported = importlib.import_module(node.module).__all__
+                unexported += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                               if not alias.name.startswith("_") and alias.name not in exported]
+    assert unexported == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import steploc.wbs
 from oracles import admissible_interval_mean_length
-from steploc.cusum import _scan_values, argmax_abs, cusum_scan, scan_prefix, scan_windows
+from steploc.cusum import _scan_values, scan_prefix, scan_windows
 from steploc.experiments import detect
 from steploc.l0 import solve_l0
 from steploc.metrics import estimate_sigma
@@ -188,7 +188,7 @@ def test_bs_root_detects_iff_threshold_cleared():
     y = evaluate(make_signal(60, [20], [0, 1])) + sample(
         make_signal(60, [], [0.0]), NoiseSpec("gaussian", 0.2), 3
     )
-    root = float(np.max(np.abs(cusum_scan(y, 0, 60).values)))
+    root = float(np.max(np.abs(_scan_values(scan_prefix(y), 0, 60))))
     assert bs_detect(y, root * 1.001).change_points == ()
     assert len(bs_detect(y, root * 0.999).change_points) >= 1
 
@@ -201,7 +201,7 @@ def test_bs_cancellation_vs_wbs():
     L = 100
     sig = make_signal(3 * L, [L, 2 * L], [1.0, 0.0, 1.0])
     y = evaluate(sig)
-    root_peak = float(np.max(np.abs(cusum_scan(y, 0, 3 * L).values)))
+    root_peak = float(np.max(np.abs(_scan_values(scan_prefix(y), 0, 3 * L))))
     assert root_peak == pytest.approx(math.sqrt(L / 6), rel=1e-9)
     straddle = math.sqrt(L / 4)
     tau = (root_peak + straddle) / 2
@@ -302,6 +302,13 @@ def test_detection_result_rejects_unsorted():
         DetectionResult(change_points=(5, 3), method="wbs", tau=1.0, per_cp_diagnostics=())
 
 
+def _first_peak(y, s, e):
+    """The first split of (s, e] with the largest absolute scan value, and that value."""
+    values = np.abs(_scan_values(scan_prefix(y), s, e))
+    i = int(np.argmax(values))
+    return s + 1 + i, float(values[i])
+
+
 def _reference_detect(y, intervals, tau, method):
     """The recursion scored one clipped interval at a time: the first best
     split inside each interval, then the first best interval."""
@@ -312,7 +319,7 @@ def _reference_detect(y, intervals, tau, method):
         for a, b in intervals:
             lo, hi = max(a, s), min(b, e)
             if hi - lo > 1:
-                split, score = argmax_abs(cusum_scan(y, lo, hi))
+                split, score = _first_peak(y, lo, hi)
                 if best is None or score > best.a:
                     best = Detection(s=lo, e=hi, b=split, a=score)
         if best is not None and best.a > tau:
@@ -403,7 +410,7 @@ def _rescored_splits(y, intervals, tau):
                 if last.get(i) != (lo, hi):
                     rescored += hi - lo - 1
                     last[i] = (lo, hi)
-                split, score = argmax_abs(cusum_scan(y, lo, hi))
+                split, score = _first_peak(y, lo, hi)
                 if best is None or score > best[1]:
                     best = (split, score)
         if best is not None and best[1] > tau:
@@ -549,7 +556,6 @@ def test_detect_rejects_observations_that_are_not_one_dimensional(method):
     pytest.param(lambda y: detect(y, "bs", 1.0, spacing=2, seed=0), id="detect-bs"),
     pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=2, seed=0), id="detect-wbs"),
     pytest.param(estimate_sigma, id="estimate_sigma"),
-    pytest.param(lambda y: cusum_scan(y, 0, 2), id="cusum_scan"),
 ])
 @pytest.mark.parametrize("shape", [(), (4, 4), (2, 20), (3, 3, 1)])
 def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensional(call, shape):
@@ -571,8 +577,6 @@ def test_l0_and_the_scale_estimate_reject_observations_that_are_not_one_dimensio
                  "need at least 2 observations, got 0", id="detect-bs"),
     pytest.param(lambda y: detect(y, "wbs", 1.0, spacing=1, seed=0),
                  "need at least 2 observations, got 0", id="detect-wbs"),
-    pytest.param(lambda y: cusum_scan(y, 0, max(y.size, 2)),
-                 "need at least 2 observations, got 0", id="cusum_scan"),
 ])
 @pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0, 3.0], []],
                          ids=["nan", "inf", "empty"])
