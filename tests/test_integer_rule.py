@@ -109,6 +109,19 @@ def test_config_rejects_a_fractional_count_on_entry(field, value, message):
         ExperimentConfig(**{**args, field: value})
 
 
+@pytest.mark.parametrize("value", [1, 1.5, 40.5])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda v: sample_intervals(60, 10, 3, max_len=v), id="sample_intervals"),
+    pytest.param(lambda v: detect(np.zeros(60), "wbs", 1.0, seed=3, max_len=v), id="detect"),
+    pytest.param(lambda v: ExperimentConfig(n=60, method="wbs", sigma=1.0, base_seed=3, k=1,
+                                            kappa=2.0, max_len=v), id="ExperimentConfig"),
+])
+def test_every_entry_point_rejects_a_max_len_that_is_not_an_integer_of_at_least_2(entry, value):
+    # A fractional max_len used to be echoed, or to fail only once a replication ran.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'max_len must be at least 2, got {value!r}')}$"):
+        entry(value)
+
+
 def test_a_config_of_numpy_integers_summarizes_as_one_of_python_ints():
     def summary(v, method, **wbs):
         cfg = ExperimentConfig(n=v(60), method=method, sigma=1.0, base_seed=v(3), replications=v(2),

@@ -193,6 +193,28 @@ def test_bs_root_detects_iff_threshold_cleared():
     assert len(bs_detect(y, root * 0.999).change_points) >= 1
 
 
+@pytest.mark.parametrize("detector", [
+    pytest.param(lambda y, tau: bs_detect(y, tau), id="bs"),
+    # Two windows, so the split is found by the multi-window pass.
+    pytest.param(lambda y, tau: wbs_detect(y, IntervalSet(4, ((0, 4), (1, 3))), tau), id="wbs"),
+])
+def test_argmax_tie_breaks_to_smallest_split(detector):
+    # Splits 1 and 3 of (0, 4] tie exactly: the scan values are -x and +x.
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    values = _scan_values(scan_prefix(y), 0, 4)
+    assert abs(values[0]) == abs(values[2]) > abs(values[1])
+    root = next(d for d in detector(y, 0.5).per_cp_diagnostics if (d.s, d.e) == (0, 4))
+    assert (root.b, root.a) == (1, abs(values[0]))
+
+
+def test_argmax_from_scan_example():
+    res = bs_detect(np.array([0.0, 0.0, 2.0, 2.0]), 1.9)
+    assert res.change_points == (2,)
+    (d,) = res.per_cp_diagnostics
+    assert (d.s, d.e, d.b) == (0, 4, 2)
+    assert d.a == pytest.approx(2.0)
+
+
 def test_bs_cancellation_vs_wbs():
     # Symmetric up-down-up signal: the two jumps partially cancel in the
     # full-window scan (root peak sqrt(L/6) kappa), while an interval
