@@ -146,15 +146,6 @@ class Segmentation:
         # operator.index gives a Python int, at half the cost of int().
         object.__setattr__(self, "boundaries", tuple(map(operator.index, self.boundaries)))
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.boundaries) + 1
-
-    def segments(self) -> list[tuple[int, int]]:
-        """Segments as 1-indexed inclusive (start, stop) pairs."""
-        edges = (0,) + self.boundaries + (self.n,)
-        return [(a + 1, b) for a, b in zip(edges, edges[1:])]
-
 
 @dataclass(frozen=True)
 class L0Result:
@@ -252,7 +243,10 @@ def solve_l0(y: np.ndarray, lam: float) -> L0Result:
     lam_tol = lam + 2.0**-44 * (n * amax * amax + lam)
     mean_tol = 2.0**-44 * amax
     lo = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # At a lam near the float range, sums that pay lam twice overflow to
+    # inf, the in-block chain first.  Such a cost is above the finite
+    # one-segment cost, so it never lowers a row's guess or wins a row.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while lo <= n:
             # Rows lo..hi-1 score the live starts and the in-block starts
             # lo..hi-2, which follow them in cand.

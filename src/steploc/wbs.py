@@ -13,11 +13,10 @@ scan's rounding floor, four ulps of the largest centered prefix sum.
 Smaller scores are rounding, not signal; ``sigma sqrt(log n)`` thresholds
 fall below them as sigma -> 0.
 
-An :class:`IntervalSet` stores its endpoints as two read-only ``int64``
-arrays, and these are all the recursion reads.  :func:`sample_intervals`
-hands its draws over as arrays too, so the endpoints never pass through
-Python objects; the tuple of pairs ``intervals`` is derived only when asked
-for.
+An :class:`IntervalSet` is its length ``n`` and its endpoints, two
+read-only ``int64`` arrays, which are all the recursion reads.
+:func:`sample_intervals` hands its draws over as arrays too, so the
+endpoints never pass through Python objects.
 
 The windows still to search are kept on an explicit stack.  Per interval,
 a call keeps the clip it last scored with that clip's first maximising
@@ -46,7 +45,6 @@ results are deterministic even when sample means tie.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 
@@ -54,7 +52,7 @@ import numpy as np
 
 from steploc.cusum import (PASS_POINTS, _scan_values, check_integer, check_observations,
                            scan_prefix, scan_windows)
-from steploc.noise import check_seed, generator
+from steploc.noise import generator
 
 __all__ = [
     "IntervalSet",
@@ -69,27 +67,24 @@ __all__ = [
 ]
 
 class IntervalSet:
-    """Candidate intervals (alpha_m, beta_m): integers, 0 <= alpha_m < beta_m <= n,
-    none longer than ``max_len`` when it is given.
+    """Candidate intervals (alpha_m, beta_m): integers, 0 <= alpha_m < beta_m <= n.
 
     The endpoints are stored as the read-only ``int64`` arrays ``alphas`` and
     ``betas``, checked once, here.  Build a set from pairs,
     ``IntervalSet(n, ((a, b), ...))``, or from two arrays with
-    :meth:`from_arrays`; both run the same checks.  The tuple of pairs
-    ``intervals`` is derived from the arrays when first asked for.  Equality,
-    hash and repr are those of the fields ``(n, intervals, seed, max_len)``.
+    :meth:`from_arrays`; both run the same checks.  The attributes ``n``,
+    ``alphas`` and ``betas`` cannot be reassigned or deleted.
     """
 
-    def __init__(self, n: int, intervals, seed: int | None = None, max_len: int | None = None):
+    def __init__(self, n: int, intervals):
         # A float endpoint gives a float array and is rejected, not truncated.
         ends = np.array(intervals if len(intervals) else np.empty((0, 2), np.int64))
         if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise ValueError(f"intervals must be integer pairs, got {ends.dtype} of shape {ends.shape}")
-        self._store(n, ends[:, 0], ends[:, 1], seed, max_len)
+        self._store(n, ends[:, 0], ends[:, 1])
 
     @classmethod
-    def from_arrays(cls, n: int, alphas, betas, seed: int | None = None,
-                    max_len: int | None = None) -> IntervalSet:
+    def from_arrays(cls, n: int, alphas, betas) -> IntervalSet:
         """The intervals ``(alphas[m], betas[m])``, from two integer arrays of one length."""
         alphas, betas = np.asarray(alphas), np.asarray(betas)
         integer = alphas.dtype.kind in "iu" and betas.dtype.kind in "iu"
@@ -97,49 +92,26 @@ class IntervalSet:
             raise ValueError(f"alphas and betas must be integer arrays of one length, got "
                              f"{alphas.dtype} {alphas.shape} and {betas.dtype} {betas.shape}")
         ivals = cls.__new__(cls)
-        ivals._store(n, alphas, betas, seed, max_len)
+        ivals._store(n, alphas, betas)
         return ivals
 
-    def _store(self, n, alphas: np.ndarray, betas: np.ndarray, seed, max_len) -> None:
+    def _store(self, n, alphas: np.ndarray, betas: np.ndarray) -> None:
         n = check_integer(n, 2, None, "n must be an integer >= 2, got %r", n)
         # Copies that this set owns; an endpoint of 2**63 or more wraps
         # negative and fails the range check below.
         alphas, betas = alphas.astype(np.int64), betas.astype(np.int64)
-        cap = n if max_len is None else max_len
-        for bad, why in (((alphas < 0) | (alphas >= betas) | (betas > n), f"not within [0, {n}]"),
-                         (betas - alphas > cap, f"longer than max_len = {max_len}")):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"interval ({alphas[i]}, {betas[i]}) {why}")
+        bad = (alphas < 0) | (alphas >= betas) | (betas > n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"interval ({alphas[i]}, {betas[i]}) not within [0, {n}]")
         alphas.flags.writeable = betas.flags.writeable = False
-        self.__dict__.update(n=n, alphas=alphas, betas=betas, seed=seed, max_len=max_len)
-
-    @functools.cached_property
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        """The pairs ``((alpha_m, beta_m), ...)`` as Python ints, derived once from the arrays."""
-        return tuple(zip(self.alphas.tolist(), self.betas.tolist()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.seed, self.max_len) == (other.n, other.seed, other.max_len) and (
-            np.array_equal(self.alphas, other.alphas) and np.array_equal(self.betas, other.betas))
-
-    def __hash__(self):
-        return hash((self.n, self.intervals, self.seed, self.max_len))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(n={self.n!r}, intervals={self.intervals!r}, "
-                f"seed={self.seed!r}, max_len={self.max_len!r})")
+        self.__dict__.update(n=n, alphas=alphas, betas=betas)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self).from_arrays, (self.n, self.alphas, self.betas, self.seed, self.max_len)
 
 
 @dataclass(frozen=True)
@@ -191,7 +163,6 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
         max_len = check_integer(max_len, 2, None, "max_len must be at least 2, got %r", max_len)
     # Every drawn length b - a is at most n, so a max_len above n admits as n does.
     cap = n if max_len is None else min(max_len, n)
-    seed = check_seed(seed)
     rng = generator(seed)
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
@@ -208,8 +179,7 @@ def sample_intervals(n: int, m: int, seed: int, max_len: int | None = None) -> I
         betas.append(b[kept])
         got += kept.size
         chunk = 2 * PASS_POINTS
-    return IntervalSet.from_arrays(n, np.concatenate(alphas), np.concatenate(betas),
-                                   seed=seed, max_len=max_len)
+    return IntervalSet.from_arrays(n, np.concatenate(alphas), np.concatenate(betas))
 
 
 def _detect(y: np.ndarray, ivals: IntervalSet, tau: float, method: str) -> DetectionResult:

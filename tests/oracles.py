@@ -31,6 +31,13 @@ def partition_objective(y, boundaries, lam: float) -> float:
     return total + lam * len(boundaries)
 
 
+def segments(seg) -> list[tuple[int, int]]:
+    """The segments of a ``steploc.l0.Segmentation`` as 1-indexed inclusive
+    (start, stop) pairs, from its boundaries."""
+    edges = (0, *seg.boundaries, seg.n)
+    return [(a + 1, b) for a, b in zip(edges, edges[1:])]
+
+
 def recompute_objective(y, seg, lam: float) -> float:
     """Direct evaluation of the objective for a ``steploc.l0.Segmentation``.
 
@@ -41,10 +48,16 @@ def recompute_objective(y, seg, lam: float) -> float:
     if seg.n != y.size:
         raise ValueError(f"segmentation is over n = {seg.n}, data has length {y.size}")
     sse = 0.0
-    for a, b in seg.segments():
+    for a, b in segments(seg):
         chunk = y[a - 1 : b]
         sse += float(np.sum((chunk - np.mean(chunk)) ** 2))
-    return sse + lam * (seg.segment_count - 1)
+    return sse + lam * len(seg.boundaries)
+
+
+def interval_pairs(ivals) -> tuple[tuple[int, int], ...]:
+    """The intervals of a ``steploc.wbs.IntervalSet`` as a tuple of
+    ``(alpha, beta)`` pairs of Python ints."""
+    return tuple(zip(ivals.alphas.tolist(), ivals.betas.tolist()))
 
 
 def brute_force_l0(y, lam: float) -> tuple[float, tuple[int, ...]]:

@@ -41,7 +41,7 @@ def _interval_set(v):
 
 def _sampled(v):
     ivals = sample_intervals(v(10), v(3), v(1), max_len=v(5))
-    return ivals.n, len(ivals.intervals), ivals.seed, ivals.max_len
+    return ivals.n, ivals.alphas.size
 
 
 def _detected(v):

@@ -12,6 +12,7 @@ from oracles import (
     exact_partition_objective,
     partition_objective,
     recompute_objective,
+    segments,
     sse_direct,
 )
 from steploc import l0
@@ -154,7 +155,7 @@ def test_segment_count_monotone_in_lambda():
     rng = np.random.default_rng(21)
     y = rng.normal(size=150) + np.repeat([0, 4.0, 1.0], 50)
     counts = [
-        solve_l0(y, lam).segmentation.segment_count
+        len(solve_l0(y, lam).segmentation.boundaries) + 1
         for lam in [0.05, 0.2, 1.0, 5.0, 25.0, 125.0, 700.0]
     ]
     assert counts == sorted(counts, reverse=True)
@@ -186,6 +187,19 @@ def _reference_l0(y, lam):
         if j > 0:
             bounds.append(j)
     return tuple(reversed(bounds)), float(best[n])
+
+
+@pytest.mark.parametrize("y, lam", [
+    (np.arange(10.0), 1e308),
+    (np.random.default_rng(5).normal(size=3000), 1e307),
+    (np.random.default_rng(5).normal(size=3000), 1e308),
+], ids=["ramp-1e308", "normal-1e307", "normal-1e308"])
+def test_a_huge_finite_lambda_gives_the_full_recursion_without_a_warning(y, lam):
+    # The in-block chain pays lam once per point and overflows to inf at
+    # these lam; the suite turns numpy's overflow warning into an error.
+    res = solve_l0(y, lam)
+    assert (res.segmentation.boundaries, res.objective) == _reference_l0(y, lam)
+    assert res.segmentation.boundaries == ()
 
 
 def test_pruning_is_exact():
@@ -427,7 +441,7 @@ def test_fitted_matches_the_segment_loop():
     assert len(res.segmentation.boundaries) > 140
     s1 = segment_prefix(y).s1
     loop = np.empty(y.size)
-    for a, b in res.segmentation.segments():
+    for a, b in segments(res.segmentation):
         loop[a - 1 : b] = (s1[b] - s1[a - 1]) / (b - a + 1)
     assert res.fitted.tobytes() == loop.tobytes()
 

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import pickle
 import re
 import tracemalloc
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steploc.wbs
-from oracles import admissible_interval_mean_length
+from oracles import admissible_interval_mean_length, interval_pairs
 from steploc.cusum import _scan_values, scan_prefix, scan_windows
 from steploc.experiments import detect
 from steploc.l0 import solve_l0
@@ -33,13 +32,13 @@ from steploc.wbs import (
 
 def test_sampling_tiny_n():
     ivals = sample_intervals(2, 3, 99)
-    assert ivals.intervals == ((0, 2), (0, 2), (0, 2))
+    assert interval_pairs(ivals) == ((0, 2), (0, 2), (0, 2))
 
 
 def test_sampling_deterministic():
     a = sample_intervals(100, 50, 7, max_len=20)
     b = sample_intervals(100, 50, 7, max_len=20)
-    assert a == b
+    assert interval_pairs(a) == interval_pairs(b)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +50,7 @@ def test_sampling_deterministic():
 )
 def test_sampling_stream_is_pinned(args, max_len, digest):
     # The acceptance configs and the benchmark digests depend on this exact stream.
-    intervals = sample_intervals(*args, max_len=max_len).intervals
+    intervals = interval_pairs(sample_intervals(*args, max_len=max_len))
     assert hashlib.sha256(repr(intervals).encode()).hexdigest() == digest
 
 
@@ -85,7 +84,7 @@ def sampling_args(draw):
 @settings(max_examples=150, deadline=None)
 def test_sampling_draw_sizes_do_not_change_the_intervals(args, seed):
     n, m, max_len = args
-    assert sample_intervals(n, m, seed, max_len=max_len).intervals == _fixed_chunk_sample(n, m, seed, max_len)
+    assert interval_pairs(sample_intervals(n, m, seed, max_len=max_len)) == _fixed_chunk_sample(n, m, seed, max_len)
 
 
 @pytest.mark.parametrize("args, max_len, most", [((1024, 2048, 7), 16, 18), ((2000, 355, 43), 1000, 2)])
@@ -110,7 +109,7 @@ def test_sampling_draws_do_not_grow(monkeypatch, args, max_len, most):
 
 def test_sampling_respects_constraints():
     ivals = sample_intervals(200, 500, 3, max_len=17)
-    for a, b in ivals.intervals:
+    for a, b in interval_pairs(ivals):
         assert 0 <= a < b <= 200
         assert 2 <= b - a <= 17
 
@@ -126,7 +125,7 @@ def test_sampling_validation():
 
 def test_sampling_mean_length_matches_enumeration():
     ivals = sample_intervals(100, 10_000, 42, max_len=20)
-    mean = np.mean([b - a for a, b in ivals.intervals])
+    mean = np.mean([b - a for a, b in interval_pairs(ivals)])
     expected = admissible_interval_mean_length(100, 20)
     assert abs(mean - expected) <= 0.10 * expected
 
@@ -136,8 +135,6 @@ def test_interval_set_validation():
         IntervalSet(10, ((0, 11),))
     with pytest.raises(ValueError):
         IntervalSet(10, ((5, 5),))
-    with pytest.raises(ValueError):
-        IntervalSet(10, ((0, 9),), max_len=5)
 
 
 def test_constant_series_yields_nothing():
@@ -368,7 +365,7 @@ def tied_series(draw, min_n=2, max_n=60):
 def test_detect_matches_per_interval_reference_on_tied_data(y, m, seed, tau):
     n = y.size
     ivals = sample_intervals(n, m, seed)
-    assert wbs_detect(y, ivals, tau) == _reference_detect(y, ivals.intervals, tau, "wbs")
+    assert wbs_detect(y, ivals, tau) == _reference_detect(y, interval_pairs(ivals), tau, "wbs")
     assert bs_detect(y, tau) == _reference_detect(y, ((0, n),), tau, "bs")
 
 
@@ -379,8 +376,8 @@ def test_detect_matches_reference_across_several_passes(y, seed, tau):
     # several scoring passes.
     n = y.size
     ivals = sample_intervals(n, 100, seed, max_len=n)
-    assert sum(b - a - 1 for a, b in ivals.intervals) > 2 * PASS_POINTS
-    assert wbs_detect(y, ivals, tau) == _reference_detect(y, ivals.intervals, tau, "wbs")
+    assert sum(b - a - 1 for a, b in interval_pairs(ivals)) > 2 * PASS_POINTS
+    assert wbs_detect(y, ivals, tau) == _reference_detect(y, interval_pairs(ivals), tau, "wbs")
 
 
 def test_tie_across_passes_goes_to_the_first_interval():
@@ -393,7 +390,7 @@ def test_tie_across_passes_goes_to_the_first_interval():
     d = res.per_cp_diagnostics[0]
     assert (d.s, d.e, d.b) == (0, 15, 10)
     assert d.a == pytest.approx(math.sqrt(10 / 3))
-    assert res == _reference_detect(y, ivals.intervals, 1.0, "wbs")
+    assert res == _reference_detect(y, interval_pairs(ivals), 1.0, "wbs")
 
 
 def _nested_and_duplicated(intervals, n):
@@ -409,7 +406,7 @@ def test_detect_matches_reference_with_duplicated_and_nested_intervals(y, m, see
     # A small tau recurses deeply, so clips scored in one subtree come back
     # unchanged, or changed, in the sibling subtree.
     n = y.size
-    intervals = _nested_and_duplicated(sample_intervals(n, m, seed).intervals, n)
+    intervals = _nested_and_duplicated(interval_pairs(sample_intervals(n, m, seed)), n)
     ivals = IntervalSet(n, intervals)
     assert wbs_detect(y, ivals, tau) == _reference_detect(y, intervals, tau, "wbs")
 
@@ -462,7 +459,7 @@ def test_detect_rescores_only_changed_clips(monkeypatch, n, m, max_len, tau):
     monkeypatch.setattr(steploc.wbs, "_scan_values", counting_values)
     res = wbs_detect(y, ivals, tau)
     assert len(res.change_points) >= 3
-    rescored, every = _rescored_splits(y, ivals.intervals, tau)
+    rescored, every = _rescored_splits(y, interval_pairs(ivals), tau)
     assert sum(scored) == rescored < every
 
 
@@ -496,13 +493,13 @@ def _pinned_corpus():
             cps = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
             y = np.repeat(rng.normal(scale=2.0, size=cps.size + 1), np.diff(np.r_[0, cps, n]))
             y = y + rng.normal(size=n)
-        intervals = sample_intervals(n, int(rng.integers(1, 60)), int(rng.integers(2**32))).intervals
+        intervals = interval_pairs(sample_intervals(n, int(rng.integers(1, 60)), int(rng.integers(2**32))))
         if case % 4 >= 2:
             intervals = _nested_and_duplicated(intervals, n)
         cases.append((y, IntervalSet(n, intervals)))
     y = np.repeat([0.0, 1.5, -0.5, 1.0], [500, 400, 300, 400]) + rng.normal(size=1600)
     big = sample_intervals(1600, 40, 77)
-    assert sum(b - a - 1 for a, b in big.intervals) > 2 * PASS_POINTS
+    assert sum(b - a - 1 for a, b in interval_pairs(big)) > 2 * PASS_POINTS
     cases.append((y, big))
     return [
         (wbs_detect(y, ivals, tau), bs_detect(y, tau))
@@ -615,13 +612,9 @@ def test_interval_set_rejects_endpoints_that_are_not_integer_pairs(intervals):
 
 
 def test_interval_set_keeps_validated_endpoint_arrays():
-    ivals = IntervalSet(10, ((np.int64(2), np.int64(9)), (0, 10)), seed=4)
-    assert ivals.intervals == ((2, 9), (0, 10))
+    ivals = IntervalSet(10, ((np.int64(2), np.int64(9)), (0, 10)))
     assert ivals.alphas.tolist() == [2, 0] and ivals.betas.tolist() == [9, 10]
     assert ivals.alphas.dtype == ivals.betas.dtype == np.int64
-    assert ivals == IntervalSet(10, ((2, 9), (0, 10)), seed=4)
-    assert hash(ivals) == hash(IntervalSet(10, ((2, 9), (0, 10)), seed=4))
-    assert repr(ivals) == f"IntervalSet(n=10, intervals={ivals.intervals!r}, seed=4, max_len=None)"
     empty = IntervalSet(10, ())
     assert empty.alphas.size == empty.betas.size == 0
     assert wbs_detect(np.arange(10.0), empty, 1.0).change_points == ()
@@ -630,7 +623,7 @@ def test_interval_set_keeps_validated_endpoint_arrays():
 def test_default_cli_wbs_stream_is_pinned():
     # The intervals of a default `steploc detect --method wbs` at n = 1e5:
     # min_intervals(100000, 10000) = 3685 and the CLI's default seed.
-    intervals = sample_intervals(100_000, 3685, 1729).intervals
+    intervals = interval_pairs(sample_intervals(100_000, 3685, 1729))
     assert hashlib.sha256(repr(intervals).encode()).hexdigest() == (
         "aa7ef89e83ee1ee193ea313da3b8570a911f8861758f954927d1db81d356c90e"
     )
@@ -639,42 +632,76 @@ def test_default_cli_wbs_stream_is_pinned():
 @pytest.mark.parametrize("args, max_len", [((2, 3, 99), None), ((1024, 2048, 7), 16), ((2000, 355, 43), 10**6)])
 def test_sampled_set_equals_the_set_of_its_pairs(args, max_len):
     s = sample_intervals(*args, max_len=max_len)
-    pairs = IntervalSet(s.n, s.intervals, seed=s.seed, max_len=s.max_len)
-    assert s == pairs and hash(s) == hash(pairs) and repr(s) == repr(pairs)
-    assert s != IntervalSet(s.n, s.intervals[:-1], seed=s.seed, max_len=s.max_len)
+    pairs = IntervalSet(s.n, interval_pairs(s))
+    assert pairs.n == s.n
+    assert np.array_equal(pairs.alphas, s.alphas) and np.array_equal(pairs.betas, s.betas)
     assert s.alphas.dtype == s.betas.dtype == np.int64
+    # The set rebuilt from the sampled arrays detects as the sampled set does.
+    y = np.repeat([0.0, 2.0], [s.n // 2, s.n - s.n // 2]) + np.random.default_rng(3).normal(size=s.n)
+    rebuilt = IntervalSet.from_arrays(s.n, s.alphas, s.betas)
+    assert wbs_detect(y, rebuilt, 1.0) == wbs_detect(y, s, 1.0)
 
 
 def test_interval_set_is_read_only():
     for ivals in (sample_intervals(40, 30, 2), IntervalSet(10, ((2, 9), (0, 10)))):
-        before = (ivals.intervals, hash(ivals))
+        before = interval_pairs(ivals)
         for ends in (ivals.alphas, ivals.betas):
             with pytest.raises(ValueError, match="read-only"):
                 ends[0] = 7
         with pytest.raises(AttributeError):
             ivals.alphas = np.zeros(ivals.alphas.size, dtype=np.int64)
-        assert (ivals.intervals, hash(ivals)) == before
+        assert interval_pairs(ivals) == before
 
 
 def test_interval_set_from_arrays_runs_the_pair_checks():
     alphas, betas = np.array([2, 0]), np.array([9, 10])
-    ivals = IntervalSet.from_arrays(10, alphas, betas, seed=4)
-    assert ivals == IntervalSet(10, ((2, 9), (0, 10)), seed=4)
+    ivals = IntervalSet.from_arrays(10, alphas, betas)
     alphas[0] = 3  # the set keeps its own copy
-    assert ivals.intervals == ((2, 9), (0, 10))
-    assert IntervalSet.from_arrays(10, alphas[:0], betas[:0]).intervals == ()
-    for a, b, max_len in [([0], [11], None), ([5], [5], None), ([-1], [4], None), ([0], [9], 5),
-                          ([0.0], [9.0], None), ([0, 1], [9], None), ([[0]], [[9]], None),
-                          (np.array([2**63], np.uint64), [4], None)]:
+    assert interval_pairs(ivals) == ((2, 9), (0, 10))
+    assert IntervalSet.from_arrays(10, alphas[:0], betas[:0]).alphas.size == 0
+    for a, b in [([0], [11]), ([5], [5]), ([-1], [4]), ([0.0], [9.0]), ([0, 1], [9]), ([[0]], [[9]]),
+                 (np.array([2**63], np.uint64), [4])]:
         with pytest.raises(ValueError):
-            IntervalSet.from_arrays(10, a, b, max_len=max_len)
+            IntervalSet.from_arrays(10, a, b)
 
 
-def test_interval_set_survives_pickling():
-    s = sample_intervals(300, 200, 17, max_len=150)
-    back = pickle.loads(pickle.dumps(s))
-    assert back == s and repr(back) == repr(s)
-    assert not back.alphas.flags.writeable and not back.betas.flags.writeable
+@st.composite
+def pair_lists(draw):
+    """n and a list of pairs, each in range, reversed, of zero length,
+    ending past n or starting below 0."""
+    n = draw(st.integers(2, 40))
+    pairs = []
+    kinds = ("in range", "reversed", "zero-length", "past n", "negative")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a + 1, n))
+        pairs.append({"in range": (a, b), "reversed": (b, a), "zero-length": (a, a),
+                      "past n": (a, n + 1 + b - a), "negative": (a - b, b)}[kind])
+    return n, pairs
+
+
+@given(pair_lists())
+@settings(max_examples=200, deadline=None)
+def test_both_constructors_run_one_set_of_checks(args):
+    n, pairs = args
+    alphas = np.array([a for a, _ in pairs], dtype=np.int64)
+    betas = np.array([b for _, b in pairs], dtype=np.int64)
+    builds = (lambda: IntervalSet(n, pairs), lambda: IntervalSet.from_arrays(n, alphas, betas))
+    bad = [(a, b) for a, b in pairs if not 0 <= a < b <= n]
+    if bad:
+        message = f"interval {bad[0]} not within [0, {n}]"
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        return
+    from_pairs, from_arrays = (build() for build in builds)
+    assert from_pairs.n == from_arrays.n == n
+    for ends, want in ((from_pairs.alphas, alphas), (from_arrays.alphas, alphas),
+                       (from_pairs.betas, betas), (from_arrays.betas, betas)):
+        assert ends.dtype == np.int64 and not ends.flags.writeable
+        assert np.array_equal(ends, want)
+    y = np.arange(n) % 3 * 0.5
+    assert wbs_detect(y, from_pairs, 0.1) == wbs_detect(y, from_arrays, 0.1)
 
 
 def test_bs_holds_few_length_n_buffers():
@@ -711,7 +738,6 @@ def test_interval_set_checks_n_and_stays_frozen():
     with pytest.raises(ValueError, match=re.escape("n must be a positive integer, got 0")):
         min_intervals(0, 1)
     ivals = IntervalSet(10, ((2, 9),))
-    assert ivals.__eq__(((2, 9),)) is NotImplemented and ivals != ((2, 9),)
-    with pytest.raises(AttributeError, match="cannot delete field 'seed'"):
-        del ivals.seed
-    assert ivals.seed is None
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del ivals.n
+    assert ivals.n == 10
